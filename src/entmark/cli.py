@@ -10,15 +10,13 @@ error, 2 I/O error.
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
 from . import experiments, metrics
 from .attacks import apply_attacks, parse_attack_spec
 from .coding import codes_for_lm
-from .detection import (DetectionConfig, available_backends, detect_pvalue,
-                        detect_seed_scan, min_block_cost)
+from .detection import DetectionConfig, detect_pvalue, detect_seed_scan
 from .generation import GenerationResult, generate, key_sequence_for
 from .lm import load_lm, peaked_lm, save_lm, skewed_lm, train_from_text, uniform_lm
 from .sampling import SAMPLER_KINDS
@@ -44,6 +42,8 @@ def _load_config_defaults(argv):
     if "--config" not in argv:
         return argv, {}
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file name")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
     defaults = {}
@@ -139,8 +139,7 @@ def cmd_detect(args):
     lm = _load_model(args)
     records = _read_jsonl(args.infile)
     config = DetectionConfig(cost=args.cost, k=args.k, T=args.T,
-                             h_mode=args.h_mode, s_max=args.s_max,
-                             backend=args.backend)
+                             h_mode=args.h_mode, s_max=args.s_max)
     rng = np.random.default_rng(args.seed)
     code = codes_for_lm(lm, args.coding) if args.cost == "bs" else None
     lines = []
@@ -161,14 +160,13 @@ def cmd_detect(args):
 def _keys_for_record(rec, res, n_vocab, code, cost):
     """Key-supplied mode: rebuild the key sequence from the recorded seed."""
     if "seed_tokens" in rec and res.boundary is not None:
-        from .keys import SeedBlock, derive_key_sequence
+        from .keys import SeedBlock, derive_key_sequence, key_bits
 
         seed = SeedBlock(tuple(rec["seed_tokens"]), res.salt)
         n = res.m - res.boundary
         if n < 1:
             raise ValueError("record has no watermarked positions")
-        n_bits = code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
-        return derive_key_sequence(seed, cost, n, n_vocab, n_bits)
+        return derive_key_sequence(seed, cost, n, n_vocab, key_bits(n_vocab, code))
     return key_sequence_for(res, n_vocab, code=code, kind=cost)
 
 
@@ -179,25 +177,6 @@ def cmd_eval_roc(args):
         raise ValueError("score files must be non-empty")
     summary = metrics.roc_auc(pos, neg)
     _write_lines(args.out, [summary.to_json()])
-    return 0
-
-
-def cmd_benchmark(args):
-    rng = np.random.default_rng(args.seed)
-    costs = rng.standard_normal((args.n, args.m))
-    print(f"alignment search over {args.n} key offsets x {args.m - args.k + 1} "
-          f"text blocks (k={args.k}), best of {args.reps}")
-    results = {}
-    for backend in available_backends():
-        best = float("inf")
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            results[backend] = min_block_cost(costs, args.k, backend)
-            best = min(best, time.perf_counter() - t0)
-        print(f"  {backend:9s} {best * 1e3:9.3f} ms")
-    if len(results) == 2 and results["compiled"] != results["python"]:
-        print("  WARNING: backends disagree")
-        return 1
     return 0
 
 
@@ -301,7 +280,6 @@ def build_parser():
     p.add_argument("--T", type=int, default=99)
     p.add_argument("--h-mode", choices=("soft", "hard"), default="soft")
     p.add_argument("--s-max", type=int, default=None)
-    p.add_argument("--backend", choices=("compiled", "python"), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_detect)
@@ -311,14 +289,6 @@ def build_parser():
     p.add_argument("--neg", required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_eval_roc)
-
-    p = sub.add_parser("benchmark", help="compare alignment-search backends")
-    p.add_argument("--n", type=int, default=400, help="key sequence length")
-    p.add_argument("--m", type=int, default=400, help="text length")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("exp", help="run a statistical validation experiment")
     p.add_argument("experiment", choices=(
@@ -347,22 +317,21 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv, defaults = _load_config_defaults(argv)
-    parser = build_parser()
-    if defaults:
-        for sub in parser._subparsers._group_actions[0].choices.values():
-            known = set()
-            for action in sub._actions:
-                if action.dest in defaults:
-                    action.required = False  # a config value satisfies it
-                    known.add(action.dest)
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     try:
+        argv, defaults = _load_config_defaults(argv)
+        parser = build_parser()
+        if defaults:
+            for sub in parser._subparsers._group_actions[0].choices.values():
+                known = set()
+                for action in sub._actions:
+                    if action.dest in defaults:
+                        action.required = False  # a config value satisfies it
+                        known.add(action.dest)
+                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse usage problems are validation errors
         return 0 if not exc.code else 1
-    try:
-        return args.func(args)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

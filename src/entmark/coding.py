@@ -137,20 +137,3 @@ def bit_conditional(probs: np.ndarray, code: TokenCode, prefix: str) -> float:
         raise ValueError(f"unreachable prefix {prefix!r}")
     return prefix_mass(p, code, prefix + "1") / node
 
-
-def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
-    """Probability of a full bit path under sequential bit sampling.
-
-    Product of the per-bit conditionals along ``bits``; zero as soon as the
-    path enters a zero-mass subtree. Equals ``probs[decode(bits)]`` for valid
-    code words, which is the content of the telescoping identity.
-    """
-    p = validate_distribution(probs)
-    prob = 1.0
-    for j, b in enumerate(bits):
-        node = prefix_mass(p, code, bits[:j])
-        if node <= 0.0:
-            return 0.0
-        q1 = prefix_mass(p, code, bits[:j] + "1") / node
-        prob *= q1 if b == "1" else 1.0 - q1
-    return prob

@@ -33,37 +33,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _alignment_py
 from .coding import TokenCode
-from .keys import BsKeySequence, SeedBlock, derive_key_sequence, resample_key_sequence
+from .keys import (BsKeySequence, SeedBlock, derive_key_sequence, key_bits,
+                   resample_key_sequence)
 
+# Fixed at import, with no option: the compiled kernel when the extension
+# built, else its bit-identical NumPy twin. DEFAULT_BACKEND names the one in use.
 try:
-    from . import _alignment as _alignment_c
+    from ._alignment import min_block_cost
 
     HAVE_COMPILED = True
 except ImportError:
-    _alignment_c = None
+    from ._alignment_py import min_block_cost
+
     HAVE_COMPILED = False
 
 DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
-
-
-def available_backends() -> tuple:
-    return ("compiled", "python") if HAVE_COMPILED else ("python",)
-
-
-def min_block_cost(costs: np.ndarray, k: int, backend: str | None = None):
-    """Dispatch the alignment search to the selected backend."""
-    backend = backend or DEFAULT_BACKEND
-    if backend == "compiled":
-        if not HAVE_COMPILED:
-            raise ValueError("compiled alignment kernel is not available")
-        return _alignment_c.min_block_cost(costs, k)
-    if backend == "python":
-        return _alignment_py.min_block_cost(costs, k)
-    raise ValueError(f"unknown backend {backend!r}")
 
 
 def eta(tokens, n_vocab: int) -> np.ndarray:
@@ -146,31 +133,6 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
     return h_hard(keyseq.u, code)
 
 
-def cost_its(tokens, u_block, ranks_block, n_vocab: int) -> float:
-    """Negative-covariance cost of one text block against one its-key block."""
-    y = np.asarray(tokens, dtype=np.int64)
-    u = np.asarray(u_block, dtype=np.float64)
-    ranks = np.asarray(ranks_block, dtype=np.int64)
-    if not (len(y) == len(u) == len(ranks)):
-        raise ValueError("block lengths differ")
-    if len(y) == 0:
-        return 0.0
-    positioned = ranks[np.arange(len(y)), y]
-    return float(-np.sum((u - 0.5) * (eta(positioned, n_vocab) - 0.5)))
-
-
-def cost_bs(tokens, h_block, n_vocab: int) -> float:
-    """Negative-covariance cost of one text block against h values of a
-    bs-key block."""
-    y = np.asarray(tokens, dtype=np.int64)
-    h = np.asarray(h_block, dtype=np.float64)
-    if len(y) != len(h):
-        raise ValueError("block lengths differ")
-    if len(y) == 0:
-        return 0.0
-    return float(-np.sum((h - 0.5) * (eta(y, n_vocab) - 0.5)))
-
-
 def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
     """Per-pair cost contributions, shape (n keys, text length)."""
     y = np.asarray(tokens, dtype=np.int64)
@@ -195,7 +157,7 @@ class PhiResult:
 
 
 def phi(tokens, keyseq, k: int, n_vocab: int, code: TokenCode | None = None,
-        h_mode: str = "soft", backend: str | None = None) -> PhiResult:
+        h_mode: str = "soft") -> PhiResult:
     """Minimum block-alignment cost over all (text start, key offset) pairs."""
     y = np.asarray(tokens, dtype=np.int64)
     if keyseq.n < 1:
@@ -203,7 +165,7 @@ def phi(tokens, keyseq, k: int, n_vocab: int, code: TokenCode | None = None,
     if len(y) < k:
         raise ValueError("text shorter than block")
     costs = _cost_matrix(y, keyseq, n_vocab, code, h_mode)
-    value, i, j = min_block_cost(costs, k, backend)
+    value, i, j = min_block_cost(costs, k)
     return PhiResult(value, int(i), int(j))
 
 
@@ -217,7 +179,6 @@ class DetectionConfig:
     mode: str = "key"
     s_max: int | None = None
     h_mode: str = "soft"
-    backend: str | None = None
 
     def block_for(self, text_len: int) -> int:
         k = self.k if self.k is not None else min(text_len, DEFAULT_BLOCK)
@@ -269,21 +230,31 @@ class DetectionReport:
         return json.dumps(self.to_record())
 
 
+def _token_ids(tokens, n_vocab: int) -> np.ndarray:
+    """The text as int64 ids, checked once against 0..N-1 before any key
+    gather can wrap a negative id or index past the vocabulary."""
+    y = np.asarray(tokens, dtype=np.int64)
+    bad = (y < 0) | (y >= n_vocab)
+    if bad.any():
+        raise ValueError(f"token id {int(y[bad][0])} out of range 0..{n_vocab - 1}")
+    return y
+
+
 def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Generator,
                   n_vocab: int, code: TokenCode | None = None,
                   boundary: int | None = None) -> DetectionReport:
     """Rank phi under the supplied key among T resampled-key statistics."""
     config.validate()
-    y = np.asarray(tokens, dtype=np.int64)
+    y = _token_ids(tokens, n_vocab)
     k = config.block_for(len(y))
     if config.cost != keyseq.kind:
         raise ValueError(f"cost kind {config.cost!r} does not match key kind {keyseq.kind!r}")
     n_bits = code.max_bits if code is not None else 1
-    observed = phi(y, keyseq, k, n_vocab, code, config.h_mode, config.backend)
+    observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
     null = np.empty(config.T)
     for t in range(config.T):
         resampled = resample_key_sequence(rng, keyseq.kind, keyseq.n, n_vocab, n_bits)
-        null[t] = phi(y, resampled, k, n_vocab, code, config.h_mode, config.backend).value
+        null[t] = phi(y, resampled, k, n_vocab, code, config.h_mode).value
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,
@@ -301,7 +272,7 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
     the smallest p-value is Bonferroni-corrected by the number of candidates.
     """
     config.validate()
-    y = np.asarray(tokens, dtype=np.int64)
+    y = _token_ids(tokens, n_vocab)
     k = config.block_for(len(y))
     if len(y) <= k + 1:
         raise ValueError("text too short for a boundary scan")
@@ -309,7 +280,7 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
     if config.s_max is not None:
         s_hi = min(s_hi, config.s_max)
     candidates = list(range(s_hi + 1))
-    n_bits = code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
+    n_bits = key_bits(n_vocab, code)
     best = None
     scanned = []
     for s in candidates:

@@ -19,7 +19,8 @@ from .attacks import apply_attacks
 from .coding import build_codes
 from .detection import DetectionConfig, detect_pvalue, phi, h_soft, replay_boundary
 from .generation import generate, generate_baseline, key_sequence_for
-from .keys import PRF_ID, SeedBlock, derive_key_sequence, derive_prf_key, resample_key_sequence
+from .keys import (PRF_ID, SeedBlock, derive_key_sequence, derive_prf_key, key_bits,
+                   resample_key_sequence)
 from .lm import MarkovLM
 from .sampling import sample_bs_many, sample_multinomial
 
@@ -271,8 +272,7 @@ def run_hoeffding_bound(lm: MarkovLM, k_values, reps: int, seed: int) -> Experim
 
 def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
                         costs=("its", "bs"), alphas=(0.01, 0.05, 0.1),
-                        seed: int = 0, k: int | None = None,
-                        backend: str | None = None) -> ExperimentRecord:
+                        seed: int = 0, k: int | None = None) -> ExperimentRecord:
     """Null calibration: on key-independent text, P(p <= a) should not
     exceed a (up to Monte Carlo slack)."""
     rng = np.random.default_rng(seed)
@@ -280,7 +280,7 @@ def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
     rates = {}
     passed = True
     for cost in costs:
-        config = DetectionConfig(cost=cost, k=k, T=T, backend=backend)
+        config = DetectionConfig(cost=cost, k=k, T=T)
         pvals = np.empty(trials)
         for i in range(trials):
             y = rng.integers(n_vocab, size=length)
@@ -301,14 +301,14 @@ def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
     )
 
 
-def _score_text(tokens, keyseq, n_vocab, code, k=None, backend=None):
+def _score_text(tokens, keyseq, n_vocab, code, k=None):
     """Watermark evidence score of a text against a key sequence: -phi."""
     kk = min(len(tokens), k or 50)
-    return -phi(tokens, keyseq, kk, n_vocab, code, backend=backend).value
+    return -phi(tokens, keyseq, kk, n_vocab, code).value
 
 
 def watermarked_scores(lm, lam, m, kind, count, rng, code, attack_specs=None,
-                       k=None, backend=None) -> np.ndarray:
+                       k=None) -> np.ndarray:
     """Generate watermarked texts (fresh salt each) and score each against
     the key sequence its own seed block derives."""
     scores = np.empty(count)
@@ -322,12 +322,12 @@ def watermarked_scores(lm, lam, m, kind, count, rng, code, attack_specs=None,
         tokens = res.tokens
         if attack_specs:
             tokens = apply_attacks(tokens, attack_specs, lm.size, rng)
-        scores[i] = _score_text(tokens, keyseq, lm.size, code, k, backend)
+        scores[i] = _score_text(tokens, keyseq, lm.size, code, k)
     return scores
 
 
 def null_scores(lm, lam, m, kind, count, rng, code, attack_specs=None,
-                k=None, backend=None) -> np.ndarray:
+                k=None) -> np.ndarray:
     """Score unwatermarked rollouts through the same pipeline: each text's
     candidate seed is found by entropy replay and hashed with a fresh salt."""
     scores = np.empty(count)
@@ -340,23 +340,23 @@ def null_scores(lm, lam, m, kind, count, rng, code, attack_specs=None,
             scores[i] = -np.inf
             continue
         seed = SeedBlock(tuple(tokens[:s]), rng.bytes(16))
-        n_bits = code.max_bits if code is not None else max(1, (lm.size - 1).bit_length())
-        keyseq = derive_key_sequence(seed, kind, len(tokens) - s, lm.size, n_bits)
-        scores[i] = _score_text(tokens, keyseq, lm.size, code, k, backend)
+        keyseq = derive_key_sequence(seed, kind, len(tokens) - s, lm.size,
+                                     key_bits(lm.size, code))
+        scores[i] = _score_text(tokens, keyseq, lm.size, code, k)
     return scores
 
 
 def run_detect_curve(lm: MarkovLM, lam: float, m_values, kinds=("its", "bs"),
                      n_pos: int = 160, n_neg: int = 240, seed: int = 0,
-                     k: int | None = None, backend: str | None = None) -> ExperimentRecord:
+                     k: int | None = None) -> ExperimentRecord:
     """True-positive rate at 1% empirical FPR as a function of text length."""
     rng = np.random.default_rng(seed)
     code = build_codes(lm.size)
     tprs = {}
     for kind in kinds:
         for m in m_values:
-            pos = watermarked_scores(lm, lam, m, kind, n_pos, rng, code, k=k, backend=backend)
-            neg = null_scores(lm, lam, m, kind, n_neg, rng, code, k=k, backend=backend)
+            pos = watermarked_scores(lm, lam, m, kind, n_pos, rng, code, k=k)
+            neg = null_scores(lm, lam, m, kind, n_neg, rng, code, k=k)
             tprs[f"{kind}_m{m}"] = metrics.tpr_at_fpr(pos, neg, 0.01)
     monotone = all(
         all(tprs[f"{kind}_m{a}"] <= tprs[f"{kind}_m{b}"]
@@ -378,19 +378,19 @@ def run_detect_curve(lm: MarkovLM, lam: float, m_values, kinds=("its", "bs"),
 def run_attack_auc(lm: MarkovLM, lam: float, m: int, kinds=("its", "bs"),
                    attack_specs=(), max_degradation: float = 0.15,
                    n_pos: int = 160, n_neg: int = 240, seed: int = 0,
-                   k: int | None = None, backend: str | None = None) -> ExperimentRecord:
+                   k: int | None = None) -> ExperimentRecord:
     """Clean vs post-attack AUC for each sampler/cost kind."""
     rng = np.random.default_rng(seed)
     code = build_codes(lm.size)
     out = {}
     passed = True
     for kind in kinds:
-        clean_pos = watermarked_scores(lm, lam, m, kind, n_pos, rng, code, k=k, backend=backend)
-        clean_neg = null_scores(lm, lam, m, kind, n_neg, rng, code, k=k, backend=backend)
+        clean_pos = watermarked_scores(lm, lam, m, kind, n_pos, rng, code, k=k)
+        clean_neg = null_scores(lm, lam, m, kind, n_neg, rng, code, k=k)
         atk_pos = watermarked_scores(lm, lam, m, kind, n_pos, rng, code,
-                                     attack_specs=attack_specs, k=k, backend=backend)
+                                     attack_specs=attack_specs, k=k)
         atk_neg = null_scores(lm, lam, m, kind, n_neg, rng, code,
-                              attack_specs=attack_specs, k=k, backend=backend)
+                              attack_specs=attack_specs, k=k)
         auc_clean = metrics.auc_score(clean_pos, clean_neg)
         auc_attacked = metrics.auc_score(atk_pos, atk_neg)
         out[f"{kind}_clean"] = auc_clean

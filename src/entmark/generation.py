@@ -162,14 +162,10 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
 
 
 def _derive_for(sampler, tokens, prompt, salt, n, n_vocab, code):
-    seed_tokens = tuple(tokens) if tokens else tuple(prompt)
-    seed = SeedBlock(seed_tokens, salt)
-    n_bits = code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
-    if sampler == "its":
-        return keymod.derive_key_sequence(seed, "its", n, n_vocab, n_bits)
-    if sampler == "bs":
-        return keymod.derive_key_sequence(seed, "bs", n, n_vocab, n_bits)
-    return None
+    if sampler not in ("its", "bs"):
+        return None
+    seed = SeedBlock(tuple(tokens) if tokens else tuple(prompt), salt)
+    return keymod.derive_key_sequence(seed, sampler, n, n_vocab, keymod.key_bits(n_vocab, code))
 
 
 def generate_baseline(lm: MarkovLM, prompt, m: int, rng: np.random.Generator,
@@ -204,5 +200,4 @@ def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | N
         n = result.m - result.boundary
     if n < 1:
         raise ValueError("no watermarked positions to derive keys for")
-    n_bits = code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
-    return keymod.derive_key_sequence(seed, kind, n, n_vocab, n_bits)
+    return keymod.derive_key_sequence(seed, kind, n, n_vocab, keymod.key_bits(n_vocab, code))

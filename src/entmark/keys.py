@@ -169,6 +169,12 @@ def uniform_stream(key: bytes, index: int) -> float:
     return float(uniform_block(key, [index])[0])
 
 
+def key_bits(n_vocab: int, code=None) -> int:
+    """Binary uniforms per key position (L in the counter layout): the
+    code's longest word, else the fixed-length code size."""
+    return code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
+
+
 def _stride(n_vocab: int, n_bits: int) -> int:
     return n_vocab + n_bits + 1
 
@@ -252,7 +258,7 @@ def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None
                         start: int = 0) -> ItsKeySequence:
     """Inverse-transform key elements for positions start .. start+n-1."""
     if n_bits is None:
-        n_bits = max(1, (n_vocab - 1).bit_length())
+        n_bits = key_bits(n_vocab)
     stride = _stride(n_vocab, n_bits)
     if n == 0:
         return ItsKeySequence(np.empty(0), np.empty((0, n_vocab), dtype=np.int64))

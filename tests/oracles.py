@@ -1,13 +1,18 @@
-"""Independent brute-force oracles the tests check the fast paths against.
+"""Independent brute-force oracles the tests check the fast paths against,
+and the test-only helpers built on the package's primitives.
 
-Everything here is deliberately written from the definitions (plain loops,
-no imports from the package's hot paths), so a test that compares against an
+The oracles are deliberately written from the definitions (plain loops, no
+imports from the package's hot paths), so a test that compares against an
 oracle is a genuine dual route.
 """
 
 import itertools
 
 import numpy as np
+
+from entmark.coding import TokenCode, prefix_mass
+from entmark.detection import eta
+from entmark.lm import validate_distribution
 
 
 def brute_min_block_cost(costs, k):
@@ -23,6 +28,35 @@ def brute_min_block_cost(costs, k):
             if v < best[0]:
                 best = (v, i, j)
     return best
+
+
+def scalar_min_block_cost(costs, k):
+    """Step-by-step transcription of the compiled kernel (_alignment.pyx).
+
+    The first window is summed in l order, then each text step does one
+    subtract and one add per key offset; the scan is row-major with a strict
+    ``<``, so ties keep the smallest (i, j). Both kernels must match this
+    bit for bit, not just within a tolerance.
+    """
+    m = np.ascontiguousarray(costs, dtype=np.float64)
+    n, length = m.shape
+    s = [0.0] * n
+    for l in range(k):
+        for j0 in range(n):
+            s[j0] += m[(j0 + l) % n, l]
+    best, best_i, best_j = s[0], 0, 0
+    for j in range(n):
+        if s[j] < best:
+            best, best_j = s[j], j
+    for i in range(1, length - k + 1):
+        for j0 in range(n):
+            v = s[j0] - m[(j0 + i - 1) % n, i - 1]
+            s[j0] = v + m[(j0 + i - 1 + k) % n, i - 1 + k]
+        for j in range(n):
+            v = s[(j - i) % n]
+            if v < best:
+                best, best_i, best_j = v, i, j
+    return float(best), best_i, best_j
 
 
 def its_law_exact(probs):
@@ -107,3 +141,46 @@ def pairwise_auc(pos, neg):
             elif a == b:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def cost_its(tokens, u_block, ranks_block, n_vocab: int) -> float:
+    """Negative-covariance cost of one text block against one its-key block."""
+    y = np.asarray(tokens, dtype=np.int64)
+    u = np.asarray(u_block, dtype=np.float64)
+    ranks = np.asarray(ranks_block, dtype=np.int64)
+    if not (len(y) == len(u) == len(ranks)):
+        raise ValueError("block lengths differ")
+    if len(y) == 0:
+        return 0.0
+    positioned = ranks[np.arange(len(y)), y]
+    return float(-np.sum((u - 0.5) * (eta(positioned, n_vocab) - 0.5)))
+
+
+def cost_bs(tokens, h_block, n_vocab: int) -> float:
+    """Negative-covariance cost of one text block against h values of a
+    bs-key block."""
+    y = np.asarray(tokens, dtype=np.int64)
+    h = np.asarray(h_block, dtype=np.float64)
+    if len(y) != len(h):
+        raise ValueError("block lengths differ")
+    if len(y) == 0:
+        return 0.0
+    return float(-np.sum((h - 0.5) * (eta(y, n_vocab) - 0.5)))
+
+
+def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
+    """Probability of a full bit path under sequential bit sampling.
+
+    Product of the per-bit conditionals along ``bits``; zero as soon as the
+    path enters a zero-mass subtree. Equals ``probs[decode(bits)]`` for valid
+    code words, which is the content of the telescoping identity.
+    """
+    p = validate_distribution(probs)
+    prob = 1.0
+    for j, b in enumerate(bits):
+        node = prefix_mass(p, code, bits[:j])
+        if node <= 0.0:
+            return 0.0
+        q1 = prefix_mass(p, code, bits[:j] + "1") / node
+        prob *= q1 if b == "1" else 1.0 - q1
+    return prob

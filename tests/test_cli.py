@@ -92,6 +92,24 @@ def test_exit_codes(tmp_path, model_file):
     assert run(["generate", "--lm", str(model_file), "--sampler", "gumbel"]) == 1
     gen = tmp_path / "g.jsonl"
     assert run(["generate", "--lm", str(model_file), "--m", "60", "--out", str(gen)]) == 0
+    # removed flags and subcommands are usage errors
+    assert run(["detect", "--in", str(gen), "--lm", str(model_file),
+                "--backend", "python"]) == 1
+    assert run(["benchmark"]) == 1
+
+
+@pytest.mark.parametrize("cost", ["its", "bs"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_detect_out_of_range_token_exits_1(tmp_path, capsys, cost, bad):
+    gen = tmp_path / "gen.jsonl"
+    assert run(["generate", "--lm", "uniform:4", "--lambda", "1.0", "--m", "60",
+                "--sampler", cost, "--seed", "1", "--out", str(gen)]) == 0
+    rec = read_jsonl(gen)[0]
+    rec["tokens"][-1] = bad
+    gen.write_text(json.dumps(rec) + "\n")
+    assert run(["detect", "--in", str(gen), "--lm", "uniform:4", "--cost", cost,
+                "--T", "9"]) == 1
+    assert f"token id {bad} out of range" in capsys.readouterr().err
 
 
 def test_config_file_defaults(tmp_path):
@@ -104,6 +122,10 @@ def test_config_file_defaults(tmp_path):
     # explicit flags win over config values
     assert run(["--config", str(cfg), "generate", "--m", "10", "--out", str(out)]) == 0
     assert read_jsonl(out)[0]["m"] == 10
+    # a trailing --config with no file name is a usage error, a missing file
+    # an I/O error
+    assert run(["generate", "--config"]) == 1
+    assert run(["--config", str(tmp_path / "absent.conf"), "generate"]) == 2
 
 
 def test_exp_subcommands(tmp_path, capsys):
@@ -114,12 +136,6 @@ def test_exp_subcommands(tmp_path, capsys):
                 "--samples", "400", "--seed", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["experiment"] == "covariance-gap" and doc["passed"]
-
-
-def test_benchmark_runs(capsys):
-    assert run(["benchmark", "--n", "60", "--m", "60", "--k", "20", "--reps", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "python" in out
 
 
 def test_huffman_coding_round_trip(tmp_path, model_file):

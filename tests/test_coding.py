@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from entmark.coding import (bit_conditional, build_codes, build_huffman_codes,
-                            codes_for_lm, path_probability, prefix_mass)
+                            codes_for_lm, prefix_mass)
 from entmark.lm import skewed_lm
+from oracles import path_probability
 
 
 def test_fixed_codes_canonical():

@@ -3,14 +3,14 @@ import pytest
 
 from entmark import _alignment_py
 from entmark.coding import build_codes, build_huffman_codes
-from entmark.detection import (DetectionConfig, HAVE_COMPILED, cost_bs, cost_its,
-                               detect_pvalue, detect_seed_scan, eta, h_hard, h_soft,
-                               h_values, min_block_cost, phi, replay_boundary)
+from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, eta,
+                               h_hard, h_soft, h_values, min_block_cost, phi,
+                               replay_boundary)
 from entmark.generation import generate, key_sequence_for
 from entmark.keys import SeedBlock, derive_key_sequence, resample_key_sequence
 from entmark.lm import skewed_lm, uniform_lm
 from entmark.sampling import sample_bs_many
-from oracles import brute_min_block_cost
+from oracles import brute_min_block_cost, cost_bs, cost_its, scalar_min_block_cost
 
 
 def test_eta():
@@ -149,17 +149,37 @@ def test_phi_superset_of_offsets_never_worse():
         assert full <= subset + 1e-12
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
+def _exact(result):
+    value, i, j = result
+    return float(value).hex(), int(i), int(j)
+
+
+def test_numpy_kernel_matches_scalar_transcription():
+    # runs without the compiled extension: the NumPy kernel must reproduce
+    # the .pyx arithmetic step by step, so either kernel gives the same bytes
+    rng = np.random.default_rng(17)
+    for case in range(200):
+        n = 1 if case % 10 == 0 else int(rng.integers(1, 12))
+        length = int(rng.integers(1, 16))
+        k = length if case % 7 == 0 else int(rng.integers(1, length + 1))
+        m = rng.standard_normal((n, length))
+        if case % 3 == 0:
+            m = np.round(m, 1)  # ties between windows
+        want = _exact(scalar_min_block_cost(m, k))
+        assert _exact(_alignment_py.min_block_cost(m, k)) == want, (n, length, k)
+
+
 def test_backends_bitwise_equal():
+    compiled = pytest.importorskip("entmark._alignment")
     rng = np.random.default_rng(7)
     for _ in range(60):
         n = int(rng.integers(1, 40))
         length = int(rng.integers(1, 60))
         k = int(rng.integers(1, length + 1))
         m = rng.standard_normal((n, length))
-        a = min_block_cost(m, k, "compiled")
-        b = min_block_cost(m, k, "python")
-        assert a == b  # exact float equality, same tie-break
+        a = compiled.min_block_cost(m, k)
+        b = _alignment_py.min_block_cost(m, k)
+        assert _exact(a) == _exact(b)  # exact float equality, same tie-break
 
 
 def test_detect_pvalue_formula_and_strong_case():
@@ -193,6 +213,21 @@ def test_detect_kind_mismatch():
         DetectionConfig(cost="its", T=0).validate()
     with pytest.raises(ValueError):
         DetectionConfig(cost="levenshtein").validate()
+
+
+@pytest.mark.parametrize("cost", ["its", "bs"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_detect_rejects_out_of_range_ids(cost, bad):
+    rng = np.random.default_rng(18)
+    y = rng.integers(4, size=12)
+    y[-1] = bad
+    ks = resample_key_sequence(rng, cost, 12, 4, 2)
+    config = DetectionConfig(cost=cost, T=3)
+    with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+        detect_pvalue(y, ks, config, rng, 4, code=build_codes(4))
+    with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+        detect_seed_scan(y, DetectionConfig(cost=cost, T=3, k=4), b"salt", 4, rng,
+                         code=build_codes(4))
 
 
 def test_seed_scan_single_candidate_reduces_to_detect():
