@@ -15,16 +15,26 @@ import numpy as np
 
 from . import experiments, metrics
 from .attacks import apply_attacks, parse_attack_spec
-from .coding import codes_for_lm
+from .coding import CODING_MODES, codes_for_lm
 from .detection import DetectionConfig, detect_pvalue, detect_seed_scan
 from .generation import GenerationResult, generate, key_sequence_for
 from .lm import load_lm, peaked_lm, save_lm, skewed_lm, train_from_text, uniform_lm
 from .sampling import SAMPLER_KINDS
 
 
-def _read_jsonl(path):
+def _read_records(path):
+    """(raw record, parsed GenerationResult) per JSONL line; a record that
+    fails validation is an input error naming its line."""
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                rec = json.loads(line)
+                try:
+                    records.append((rec, GenerationResult.from_record(rec)))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return records
 
 
 def _write_lines(path, lines):
@@ -84,7 +94,7 @@ def _builtin_lm(name):
 
 
 def _load_model(args):
-    if args.lm.startswith(("uniform", "skewed", "peaked")):
+    if args.lm.partition(":")[0] in ("uniform", "skewed", "peaked"):
         return _builtin_lm(args.lm)
     return load_lm(args.lm)
 
@@ -116,20 +126,19 @@ def cmd_attack(args):
     specs = []
     for text in args.attack:
         specs.extend(parse_attack_spec(text))
-    records = _read_jsonl(args.infile)
+    if args.vocab_size is None and not args.lm:
+        raise ValueError("attack needs --vocab-size or --lm")
+    records = _read_records(args.infile)
     rng = np.random.default_rng(args.seed)
-    n_vocab = args.vocab_size or (_load_model(args).size if args.lm else None)
+    n_vocab = args.vocab_size if args.vocab_size is not None else _load_model(args).size
     lines = []
-    for rec in records:
-        n = n_vocab or (max(rec["tokens"]) + 1)
-        res = GenerationResult.from_record(rec)
-        seed_block = res.seed_block()
-        out = dict(rec)
-        out["tokens"] = apply_attacks(rec["tokens"], specs, n, rng)
-        out["attack"] = args.attack
-        out["attack_seed"] = args.seed
-        if seed_block is not None:
-            out["seed_tokens"] = list(seed_block.tokens)
+    for rec, res in records:
+        # same key order as the input; the seed is the original one even
+        # when the record was attacked before
+        out = dict(rec, tokens=apply_attacks(res.tokens, specs, n_vocab, rng),
+                   attack=args.attack, attack_seed=args.seed)
+        if res.boundary is not None:
+            out["seed_tokens"] = list(res.seed_block().tokens)
         lines.append(json.dumps(out))
     _write_lines(args.out, lines)
     return 0
@@ -137,37 +146,22 @@ def cmd_attack(args):
 
 def cmd_detect(args):
     lm = _load_model(args)
-    records = _read_jsonl(args.infile)
+    records = _read_records(args.infile)
     config = DetectionConfig(cost=args.cost, k=args.k, T=args.T,
                              h_mode=args.h_mode, s_max=args.s_max)
     rng = np.random.default_rng(args.seed)
-    code = codes_for_lm(lm, args.coding) if args.cost == "bs" else None
     lines = []
-    for rec in records:
-        res = GenerationResult.from_record(rec)
+    for _, res in records:
+        code = codes_for_lm(lm, res.coding) if args.cost == "bs" else None
         if args.mode == "scan":
-            report = detect_seed_scan(rec["tokens"], config, res.salt, lm.size, rng,
-                                      code=code, lm=lm, lam=res.lam)
+            report = detect_seed_scan(res.tokens, config, res.salt, lm.size, rng, code=code)
         else:
-            keyseq = _keys_for_record(rec, res, lm.size, code, args.cost)
-            report = detect_pvalue(rec["tokens"], keyseq, config, rng, lm.size,
+            keyseq = key_sequence_for(res, lm.size, code=code, kind=args.cost)
+            report = detect_pvalue(res.tokens, keyseq, config, rng, lm.size,
                                    code=code, boundary=res.boundary)
         lines.append(report.to_json())
     _write_lines(args.out, lines)
     return 0
-
-
-def _keys_for_record(rec, res, n_vocab, code, cost):
-    """Key-supplied mode: rebuild the key sequence from the recorded seed."""
-    if "seed_tokens" in rec and res.boundary is not None:
-        from .keys import SeedBlock, derive_key_sequence, key_bits
-
-        seed = SeedBlock(tuple(rec["seed_tokens"]), res.salt)
-        n = res.m - res.boundary
-        if n < 1:
-            raise ValueError("record has no watermarked positions")
-        return derive_key_sequence(seed, cost, n, n_vocab, key_bits(n_vocab, code))
-    return key_sequence_for(res, n_vocab, code=code, kind=cost)
 
 
 def cmd_eval_roc(args):
@@ -252,7 +246,7 @@ def build_parser():
     p.add_argument("--m", type=int, default=100, help="generation budget in tokens")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--sampler", choices=SAMPLER_KINDS, default="its")
-    p.add_argument("--coding", choices=("fixed", "huffman"), default="fixed")
+    p.add_argument("--coding", choices=CODING_MODES, default="fixed")
     p.add_argument("--salt", default="", help="hex salt; fresh random if omitted")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top-p", type=float, default=None)
@@ -275,7 +269,6 @@ def build_parser():
     p.add_argument("--lm", required=True)
     p.add_argument("--mode", choices=("key", "scan"), default="key")
     p.add_argument("--cost", choices=("its", "bs"), default="its")
-    p.add_argument("--coding", choices=("fixed", "huffman"), default="fixed")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--T", type=int, default=99)
     p.add_argument("--h-mode", choices=("soft", "hard"), default="soft")

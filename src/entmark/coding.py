@@ -15,6 +15,8 @@ import numpy as np
 
 from .lm import validate_distribution
 
+CODING_MODES = ("fixed", "huffman")
+
 
 def code_length(n_tokens: int) -> int:
     if n_tokens < 2:

@@ -139,7 +139,8 @@ def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
-        et = eta(keyseq.ranks[:, y], n_vocab)
+        # eta without its range scan: ItsKeySequence checked the ranks
+        et = keyseq.ranks[:, y] / (n_vocab - 1)
         return -((keyseq.u - 0.5)[:, None] * (et - 0.5))
     if keyseq.kind == "bs":
         if code is None:
@@ -159,7 +160,7 @@ class PhiResult:
 def phi(tokens, keyseq, k: int, n_vocab: int, code: TokenCode | None = None,
         h_mode: str = "soft") -> PhiResult:
     """Minimum block-alignment cost over all (text start, key offset) pairs."""
-    y = np.asarray(tokens, dtype=np.int64)
+    y = _token_ids(tokens, n_vocab)
     if keyseq.n < 1:
         raise ValueError("key sequence is empty")
     if len(y) < k:
@@ -176,7 +177,6 @@ class DetectionConfig:
     cost: str = "its"
     k: int | None = None  # None: min(len(text), 50)
     T: int = DEFAULT_RESAMPLES
-    mode: str = "key"
     s_max: int | None = None
     h_mode: str = "soft"
 
@@ -191,8 +191,6 @@ class DetectionConfig:
             raise ValueError(f"unknown cost kind {self.cost!r}")
         if self.T < 1:
             raise ValueError("resample count T must be >= 1")
-        if self.mode not in ("key", "scan"):
-            raise ValueError(f"unknown detection mode {self.mode!r}")
         return self
 
 
@@ -211,7 +209,6 @@ class DetectionReport:
     boundary: int | None = None
     phi_null: np.ndarray = field(default=None, repr=False)
     scanned: list = field(default_factory=list)
-    entropy_boundary: int | None = None
 
     def to_record(self) -> dict:
         return {
@@ -231,8 +228,10 @@ class DetectionReport:
 
 
 def _token_ids(tokens, n_vocab: int) -> np.ndarray:
-    """The text as int64 ids, checked once against 0..N-1 before any key
-    gather can wrap a negative id or index past the vocabulary."""
+    """The text as int64 ids, checked against 0..N-1 before any key gather
+    can wrap a negative id or index past the vocabulary."""
+    if n_vocab < 2:
+        raise ValueError("detection needs a vocabulary of at least 2 tokens")
     y = np.asarray(tokens, dtype=np.int64)
     bad = (y < 0) | (y >= n_vocab)
     if bad.any():
@@ -263,8 +262,7 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
 
 
 def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
-                     rng: np.random.Generator, code: TokenCode | None = None,
-                     lm=None, lam: float | None = None) -> DetectionReport:
+                     rng: np.random.Generator, code: TokenCode | None = None) -> DetectionReport:
     """Detect without a shared key: enumerate candidate entropy boundaries.
 
     Each candidate prefix y[:s] is hashed into a key sequence for the suffix
@@ -292,13 +290,10 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
             best = (s, rep)
     s_win, rep = best
     corrected = min(1.0, len(candidates) * rep.p_value)
-    entropy_boundary = None
-    if lm is not None and lam is not None:
-        entropy_boundary = replay_boundary(lm, y, lam)
     return DetectionReport(
         p_value=corrected, phi0=rep.phi0, best_i=rep.best_i, best_j=rep.best_j,
         k=k, T=config.T, cost=config.cost, mode="scan", boundary=s_win,
-        phi_null=rep.phi_null, scanned=scanned, entropy_boundary=entropy_boundary,
+        phi_null=rep.phi_null, scanned=scanned,
     )
 
 

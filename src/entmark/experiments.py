@@ -18,9 +18,8 @@ from . import metrics
 from .attacks import apply_attacks
 from .coding import build_codes
 from .detection import DetectionConfig, detect_pvalue, phi, h_soft, replay_boundary
-from .generation import generate, generate_baseline, key_sequence_for
-from .keys import (PRF_ID, SeedBlock, derive_key_sequence, derive_prf_key, key_bits,
-                   resample_key_sequence)
+from .generation import GenerationResult, generate, generate_baseline, key_sequence_for
+from .keys import PRF_ID, derive_prf_key, resample_key_sequence
 from .lm import MarkovLM
 from .sampling import sample_bs_many, sample_multinomial
 
@@ -339,9 +338,8 @@ def null_scores(lm, lam, m, kind, count, rng, code, attack_specs=None,
         if s is None or len(tokens) - s < 1:
             scores[i] = -np.inf
             continue
-        seed = SeedBlock(tuple(tokens[:s]), rng.bytes(16))
-        keyseq = derive_key_sequence(seed, kind, len(tokens) - s, lm.size,
-                                     key_bits(lm.size, code))
+        unmarked = GenerationResult(tokens, s, kind, rng.bytes(16), lam, len(tokens))
+        keyseq = key_sequence_for(unmarked, lm.size, code=code)
         scores[i] = _score_text(tokens, keyseq, lm.size, code, k)
     return scores
 

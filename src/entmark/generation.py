@@ -9,33 +9,61 @@ with the prompt as seed; a threshold of inf never starts it.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import keys as keymod
-from .coding import TokenCode, codes_for_lm
+from .coding import CODING_MODES, TokenCode, codes_for_lm
 from .keys import PRF_ID, SeedBlock
 from .lm import MarkovLM, apply_temperature, apply_top_p
-from .sampling import check_sampler_kind, sample_bs, sample_its, sample_multinomial
-
-ENTROPY_KINDS = ("selection", "shannon")
+from .sampling import SAMPLER_KINDS, sample_bs, sample_its, sample_multinomial
 
 
-def watermark_entropy(probs: np.ndarray, token: int, kind: str = "selection") -> float:
-    """Per-token watermark entropy accumulated toward the gating threshold.
-
-    The reference measure is 1 - p(token), in [0, 1]. The Shannon variant
-    -log2 p(token) is available as a configuration hook.
-    """
+def watermark_entropy(probs: np.ndarray, token: int) -> float:
+    """Per-token watermark entropy accumulated toward the gating threshold:
+    1 - p(token), in [0, 1]."""
     p = np.asarray(probs, dtype=np.float64)
     if not 0 <= token < p.size:
         raise ValueError("token id out of range")
-    if kind == "selection":
-        return float(1.0 - p[token])
-    if kind == "shannon":
-        return float(-np.log2(max(p[token], 1e-300)))
-    raise ValueError(f"unknown entropy kind {kind!r}")
+    return float(1.0 - p[token])
+
+
+def _is_ids(value) -> bool:
+    return type(value) is list and all(type(t) is int for t in value)
+
+
+# The record fields keys depend on: check and expected shape; the first six
+# are required. Ids must also fit the 4-byte words a seed block hashes.
+_RECORD_FIELDS = {
+    "tokens": (_is_ids, "a list of integer token ids"),
+    "boundary": (lambda v: v is None or type(v) is int and v >= 0, "null or an integer >= 0"),
+    "sampler": (lambda v: v in SAMPLER_KINDS, f"one of {SAMPLER_KINDS}"),
+    "lambda": (lambda v: v == "inf" or type(v) in (int, float) and v >= 0,
+               'a number >= 0 or "inf"'),
+    "salt": (lambda v: type(v) is str and re.fullmatch("([0-9a-fA-F]{2})*", v), "a hex string"),
+    "m": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "prompt": (_is_ids, "a list of integer token ids"),
+    "coding": (lambda v: v in CODING_MODES, f"one of {CODING_MODES}"),
+    "seed_tokens": (_is_ids, "a list of integer token ids"),
+}
+_REQUIRED_FIELDS = tuple(_RECORD_FIELDS)[:6]
+
+
+def _check_record(rec) -> None:
+    if not isinstance(rec, dict):
+        raise ValueError("record must be a JSON object")
+    for name, (valid, what) in _RECORD_FIELDS.items():
+        if name not in rec:
+            if name in _REQUIRED_FIELDS:
+                raise ValueError(f"record lacks required field {name!r}")
+        elif not valid(rec[name]):
+            raise ValueError(f"record field {name!r} must be {what}")
+    for name in ("tokens", "prompt", "seed_tokens"):
+        bad = [t for t in rec.get(name, ()) if not 0 <= t < 2**32]
+        if bad:
+            raise ValueError(f"record field {name!r}: token id {bad[0]} out of range")
 
 
 @dataclass
@@ -52,17 +80,17 @@ class GenerationResult:
     prf_id: str = PRF_ID
     rng_seed: int | None = None
     coding: str = "fixed"
-    entropy_kind: str = "selection"
     top_p: float | None = None
     temperature: float | None = None
+    seed_tokens: list | None = None  # set once an attack has rewritten tokens
 
     def seed_block(self) -> SeedBlock | None:
         """Seed block the key sequence was (or would be) derived from."""
         if self.boundary is None:
             return None
-        if self.boundary == 0:
-            return SeedBlock(tuple(self.prompt), self.salt)
-        return SeedBlock(tuple(self.tokens[: self.boundary]), self.salt)
+        if self.seed_tokens is not None:  # the original seed, kept by attacks
+            return SeedBlock(self.seed_tokens, self.salt)
+        return SeedBlock(self.tokens[: self.boundary] if self.boundary else self.prompt, self.salt)
 
     def to_record(self) -> dict:
         rec = {
@@ -81,17 +109,21 @@ class GenerationResult:
             rec["top_p"] = self.top_p
         if self.temperature is not None:
             rec["temperature"] = self.temperature
+        if self.seed_tokens is not None:
+            rec["seed_tokens"] = [int(t) for t in self.seed_tokens]
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict) -> "GenerationResult":
-        lam = rec["lambda"]
+    def from_record(cls, rec) -> "GenerationResult":
+        """Parse one record; a ValueError names the first missing or
+        malformed field."""
+        _check_record(rec)
         return cls(
             tokens=list(rec["tokens"]),
             boundary=rec["boundary"],
             sampler=rec["sampler"],
             salt=bytes.fromhex(rec["salt"]),
-            lam=float("inf") if lam == "inf" else float(lam),
+            lam=float(rec["lambda"]),
             m=rec["m"],
             prompt=list(rec.get("prompt", [])),
             prf_id=rec.get("prf_id", PRF_ID),
@@ -99,26 +131,20 @@ class GenerationResult:
             coding=rec.get("coding", "fixed"),
             top_p=rec.get("top_p"),
             temperature=rec.get("temperature"),
+            seed_tokens=rec.get("seed_tokens"),
         )
 
     def to_json(self) -> str:
         return json.dumps(self.to_record())
 
 
-def _transform(probs, top_p, temperature):
-    if temperature is not None:
-        probs = apply_temperature(probs, temperature)
-    if top_p is not None:
-        probs = apply_top_p(probs, top_p)
-    return probs
-
-
 def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes,
              rng: np.random.Generator, code: TokenCode | None = None,
              top_p: float | None = None, temperature: float | None = None,
-             entropy_kind: str = "selection", rng_seed: int | None = None) -> GenerationResult:
+             rng_seed: int | None = None) -> GenerationResult:
     """Run the gated generation loop for a budget of ``m`` tokens."""
-    check_sampler_kind(sampler)
+    if sampler not in SAMPLER_KINDS:
+        raise ValueError(f"unknown sampler kind {sampler!r}")
     if m < 1:
         raise ValueError("generation budget m must be >= 1")
     if lam < 0:
@@ -134,61 +160,48 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     acc = 0.0
     boundary: int | None = None
     keyseq = None
-    consumed = 0
     for _ in range(m):
-        probs = _transform(lm.context_distribution(prompt + tokens), top_p, temperature)
+        probs = lm.context_distribution(prompt + tokens)
+        if temperature is not None:
+            probs = apply_temperature(probs, temperature)
+        if top_p is not None:
+            probs = apply_top_p(probs, top_p)
         if boundary is None and acc >= lam:
             boundary = len(tokens)
-            keyseq = _derive_for(sampler, tokens, prompt, salt, m - boundary, lm.size, code)
-        if boundary is None:
+            if sampler != "multinomial":
+                partial = GenerationResult(tokens, boundary, sampler, salt, lam, m, prompt)
+                keyseq = key_sequence_for(partial, lm.size, code)
+        if boundary is None or sampler == "multinomial":
             tok = sample_multinomial(probs, rng)
-            acc += watermark_entropy(probs, tok, entropy_kind)
+            acc += watermark_entropy(probs, tok)  # only read before the gate closes
         elif sampler == "its":
-            tok = sample_its(probs, keyseq.element(consumed))
-            consumed += 1
-        elif sampler == "bs":
-            tok = sample_bs(probs, code, keyseq.element(consumed))
-            consumed += 1
+            tok = sample_its(probs, keyseq.element(len(tokens) - boundary))
         else:
-            tok = sample_multinomial(probs, rng)
+            tok = sample_bs(probs, code, keyseq.element(len(tokens) - boundary))
         tokens.append(tok)
     if boundary is None and acc >= lam:
         boundary = len(tokens)  # crossed on the last token; empty suffix
     return GenerationResult(
         tokens=tokens, boundary=boundary, sampler=sampler, salt=salt, lam=lam, m=m,
         prompt=prompt, rng_seed=rng_seed, coding=(code.mode if code else "fixed"),
-        entropy_kind=entropy_kind, top_p=top_p, temperature=temperature,
+        top_p=top_p, temperature=temperature,
     )
-
-
-def _derive_for(sampler, tokens, prompt, salt, n, n_vocab, code):
-    if sampler not in ("its", "bs"):
-        return None
-    seed = SeedBlock(tuple(tokens) if tokens else tuple(prompt), salt)
-    return keymod.derive_key_sequence(seed, sampler, n, n_vocab, keymod.key_bits(n_vocab, code))
 
 
 def generate_baseline(lm: MarkovLM, prompt, m: int, rng: np.random.Generator,
                       top_p: float | None = None, temperature: float | None = None) -> list:
     """Unwatermarked control arm: a pure multinomial rollout."""
-    if m < 1:
-        raise ValueError("generation budget m must be >= 1")
-    prompt = [int(t) for t in prompt]
-    lm.vocab.check_ids(prompt)
-    tokens: list = []
-    for _ in range(m):
-        probs = _transform(lm.context_distribution(prompt + tokens), top_p, temperature)
-        tokens.append(sample_multinomial(probs, rng))
-    return tokens
+    return generate(lm, prompt, float("inf"), m, "multinomial", b"", rng,
+                    top_p=top_p, temperature=temperature).tokens
 
 
 def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | None = None,
-                     kind: str | None = None, n: int | None = None):
-    """Re-derive the key sequence a generation consumed (detector side).
+                     kind: str | None = None):
+    """The key sequence a generation consumes after its boundary, from its
+    seed block; generation and detection both derive keys here.
 
     ``kind`` defaults to the generating sampler; a multinomial record has no
-    keys unless a kind is forced. ``n`` defaults to the consumable suffix
-    length m - boundary.
+    keys unless a kind is forced.
     """
     seed = result.seed_block()
     if seed is None:
@@ -196,8 +209,7 @@ def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | N
     kind = kind or result.sampler
     if kind == "multinomial":
         raise ValueError("multinomial generations carry no watermark keys")
-    if n is None:
-        n = result.m - result.boundary
+    n = result.m - result.boundary
     if n < 1:
         raise ValueError("no watermarked positions to derive keys for")
     return keymod.derive_key_sequence(seed, kind, n, n_vocab, keymod.key_bits(n_vocab, code))

@@ -200,8 +200,11 @@ class ItsKeySequence:
     def __init__(self, u: np.ndarray, ranks: np.ndarray):
         self.u = np.asarray(u, dtype=np.float64)
         self.ranks = np.asarray(ranks, dtype=np.int64)
-        if self.ranks.shape[:1] != self.u.shape:
+        if self.ranks.ndim != 2 or self.ranks.shape[:1] != self.u.shape:
             raise ValueError("mismatched key arrays")
+        # checked once here, so the detection cost can gather ranks unchecked
+        if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.n_vocab):
+            raise ValueError(f"key rank out of range 0..{self.n_vocab - 1}")
 
     @property
     def n(self) -> int:

@@ -20,12 +20,6 @@ from .lm import validate_distribution
 SAMPLER_KINDS = ("its", "bs", "multinomial")
 
 
-def check_sampler_kind(kind: str) -> str:
-    if kind not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}")
-    return kind
-
-
 def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
     """First token, in ascending key-rank order, whose cumulative mass
     reaches the key uniform."""

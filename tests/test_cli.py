@@ -145,7 +145,63 @@ def test_huffman_coding_round_trip(tmp_path, model_file):
                 "--sampler", "bs", "--coding", "huffman", "--seed", "2",
                 "--out", str(gen)]) == 0
     assert read_jsonl(gen)[0]["coding"] == "huffman"
+    # the code comes from the record's "coding" field, not from a flag
     assert run(["detect", "--in", str(gen), "--lm", str(model_file), "--cost", "bs",
-                "--coding", "huffman", "--T", "49", "--seed", "3",
-                "--out", str(det)]) == 0
+                "--T", "49", "--seed", "3", "--out", str(det)]) == 0
     assert read_jsonl(det)[0]["p_value"] == pytest.approx(1 / 50)
+    assert run(["detect", "--in", str(gen), "--lm", str(model_file), "--cost", "bs",
+                "--coding", "huffman"]) == 1  # the flag is gone
+
+
+def test_chained_attacks_keep_the_original_seed(tmp_path):
+    gen, once, twice = (tmp_path / name for name in ("gen.jsonl", "a1.jsonl", "a2.jsonl"))
+    assert run(["generate", "--lm", "peaked:8,0.4", "--lambda", "2.0", "--m", "120",
+                "--count", "4", "--sampler", "its", "--seed", "6", "--out", str(gen)]) == 0
+    for src, dst, seed in ((gen, once, "1"), (once, twice, "2")):
+        assert run(["attack", "--in", str(src), "--attack", "substitute:0.3",
+                    "--vocab-size", "8", "--seed", seed, "--out", str(dst)]) == 0
+    originals = read_jsonl(gen)
+    assert all(r["boundary"] > 0 for r in originals)
+    for orig, attacked in zip(originals, read_jsonl(twice)):
+        assert attacked["seed_tokens"] == orig["tokens"][: orig["boundary"]]
+        assert attacked["tokens"] != orig["tokens"]
+    assert list(read_jsonl(twice)[0]) == list(read_jsonl(once)[0])  # key order kept
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tokens", None), ("boundary", None), ("sampler", None), ("lambda", None),
+    ("salt", None), ("m", None), ("salt", 7), ("tokens", "1 2 3"), ("m", "60"),
+])
+def test_malformed_record_exits_1_naming_field_and_line(tmp_path, capsys, field, value):
+    gen = tmp_path / "gen.jsonl"
+    assert run(["generate", "--lm", "uniform:4", "--lambda", "1.0", "--m", "60",
+                "--count", "2", "--seed", "1", "--out", str(gen)]) == 0
+    good, bad = read_jsonl(gen)
+    if value is None:
+        del bad[field]
+    else:
+        bad[field] = value
+    gen.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    for cmd in (["detect", "--lm", "uniform:4", "--T", "9"],
+                ["attack", "--attack", "substitute:0.1", "--vocab-size", "4"]):
+        assert run(cmd + ["--in", str(gen), "--out", str(tmp_path / "out.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert "line 3" in err and repr(field) in err
+
+
+def test_model_file_named_like_a_builtin(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text("a b a c b a\n")
+    assert run(["train-lm", "--corpus", "corpus.txt", "--out", "uniform_model.json"]) == 0
+    assert run(["generate", "--lm", "uniform_model.json", "--m", "5", "--out", "g.jsonl"]) == 0
+    assert run(["generate", "--lm", "uniform:3", "--m", "5", "--out", "g.jsonl"]) == 0
+
+
+def test_attack_needs_a_vocabulary(tmp_path, capsys):
+    gen = tmp_path / "gen.jsonl"
+    assert run(["generate", "--lm", "uniform:8", "--m", "30", "--out", str(gen)]) == 0
+    assert run(["attack", "--in", str(gen), "--attack", "substitute:0.5"]) == 1
+    assert "--vocab-size or --lm" in capsys.readouterr().err
+    assert run(["attack", "--in", str(gen), "--attack", "substitute:0.5", "--lm", "uniform:8",
+                "--out", str(tmp_path / "a.jsonl")]) == 0

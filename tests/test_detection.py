@@ -230,6 +230,17 @@ def test_detect_rejects_out_of_range_ids(cost, bad):
                          code=build_codes(4))
 
 
+@pytest.mark.parametrize("cost", ["its", "bs"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_phi_rejects_out_of_range_ids(cost, bad):
+    rng = np.random.default_rng(19)
+    y = rng.integers(4, size=8)
+    y[-1] = bad
+    ks = resample_key_sequence(rng, cost, 8, 4, 2)
+    with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+        phi(y, ks, 4, 4, build_codes(4))
+
+
 def test_seed_scan_single_candidate_reduces_to_detect():
     rng = np.random.default_rng(11)
     y = rng.integers(4, size=60).tolist()
@@ -247,11 +258,10 @@ def test_seed_scan_finds_generation_boundary():
     assert res.boundary is not None and res.boundary <= 5
     config = DetectionConfig(cost="its", T=99, s_max=6, k=50)
     rep = detect_seed_scan(res.tokens, config, b"scan-salt", lm.size,
-                           np.random.default_rng(13), lm=lm, lam=1.0)
+                           np.random.default_rng(13))
     n_candidates = 7
     assert rep.boundary == res.boundary
     assert rep.p_value <= n_candidates / 100 + 1e-12
-    assert rep.entropy_boundary == res.boundary
     assert [c["s"] for c in rep.scanned] == list(range(7))
 
 

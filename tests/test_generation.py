@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from entmark.coding import codes_for_lm
 from entmark.detection import replay_boundary
 from entmark.generation import (GenerationResult, generate, generate_baseline,
                                 key_sequence_for, watermark_entropy)
-from entmark.lm import MarkovLM, Vocabulary, peaked_lm, skewed_lm, uniform_lm
+from entmark.keys import SeedBlock
+from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
+                        skewed_lm, uniform_lm)
+from entmark.sampling import sample_multinomial
 
 
 def test_watermark_entropy():
@@ -17,11 +21,8 @@ def test_watermark_entropy():
     assert watermark_entropy(np.array([1.0, 0.0]), 0) == 0.0
     assert watermark_entropy(p, 0) == pytest.approx(0.75)
     assert watermark_entropy(np.array([0.5, 0.5]), 0) == 0.5
-    assert watermark_entropy(np.array([0.5, 0.5]), 1, "shannon") == pytest.approx(1.0)
     with pytest.raises(ValueError):
         watermark_entropy(p, 5)
-    with pytest.raises(ValueError):
-        watermark_entropy(p, 0, "renyi")
 
 
 def test_lambda_inf_never_watermarks():
@@ -132,6 +133,60 @@ def test_record_round_trip():
     inf = generate(lm, [], float("inf"), 4, "its", b"s", np.random.default_rng(0))
     back_inf = GenerationResult.from_record(json.loads(inf.to_json()))
     assert back_inf.lam == float("inf")
+
+
+def test_generate_baseline_is_a_plain_multinomial_rollout():
+    lm = skewed_lm(4)
+    for kw in ({}, {"top_p": 0.8}, {"temperature": 0.7}, {"top_p": 0.9, "temperature": 1.3}):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        got = generate_baseline(lm, [1], 40, rng_a, **kw)
+        want = []
+        for _ in range(40):
+            probs = lm.context_distribution([1] + want)
+            if "temperature" in kw:
+                probs = apply_temperature(probs, kw["temperature"])
+            if "top_p" in kw:
+                probs = apply_top_p(probs, kw["top_p"])
+            want.append(sample_multinomial(probs, rng_b))
+        assert got == want
+        assert rng_a.random() == rng_b.random()  # same number of draws
+
+
+def test_record_seed_tokens_decide_the_seed_block():
+    res = generate(skewed_lm(4), [], 1.0, 30, "its", b"s", np.random.default_rng(2))
+    rec = res.to_record()
+    assert "seed_tokens" not in rec  # generation records carry no copy
+    rec["tokens"][: res.boundary] = [3] * res.boundary  # an attack hit the prefix
+    rec["seed_tokens"] = res.tokens[: res.boundary]
+    back = GenerationResult.from_record(rec)
+    assert back.seed_block() == res.seed_block()
+    assert back.to_record() == rec
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("salt", None, "lacks required field 'salt'"),
+    ("m", None, "lacks required field 'm'"),
+    ("salt", 7, "'salt' must be a hex string"),
+    ("salt", "zz", "'salt' must be a hex string"),
+    ("boundary", True, "'boundary' must be null or an integer"),
+    ("lambda", "two", "'lambda' must be a number"),
+    ("sampler", "gumbel", "'sampler' must be one of"),
+    ("tokens", [1, "2"], "'tokens' must be a list of integer token ids"),
+    ("tokens", [1, 2.0], "'tokens' must be a list of integer token ids"),
+    ("seed_tokens", [-1], "'seed_tokens': token id -1 out of range"),
+    ("prompt", [2**32], "'prompt': token id 4294967296 out of range"),
+    ("coding", "unary", "'coding' must be one of"),
+])
+def test_from_record_names_the_bad_field(field, value, message):
+    rec = generate(skewed_lm(4), [], 1.0, 30, "its", b"s", np.random.default_rng(2)).to_record()
+    if value is None:
+        del rec[field]
+    else:
+        rec[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GenerationResult.from_record(rec)
+    with pytest.raises(ValueError, match="JSON object"):
+        GenerationResult.from_record([rec])
 
 
 def test_key_sequence_for():

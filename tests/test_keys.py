@@ -157,3 +157,13 @@ def test_derive_key_sequence_kinds():
     assert its.n == bs.n == 3
     with pytest.raises(ValueError):
         derive_key_sequence(seed, "nope", 3, 4, 2)
+
+
+def test_its_key_sequence_rejects_out_of_range_ranks():
+    u = np.full(2, 0.5)
+    ItsKeySequence(u, [[2, 0, 1], [0, 1, 2]])
+    for bad in ([[0, 1, 2], [0, 3, 1]], [[0, -1, 2], [0, 1, 2]]):
+        with pytest.raises(ValueError, match=r"key rank out of range 0\.\.2"):
+            ItsKeySequence(u, bad)
+    with pytest.raises(ValueError, match="mismatched"):
+        ItsKeySequence(u, [0, 1])

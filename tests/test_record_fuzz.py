@@ -1,0 +1,72 @@
+"""Property test of the CLI's record contract: any record, however mangled,
+makes `detect` and `attack` exit 0, 1 or 2 without a traceback."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from entmark.cli import main
+from entmark.generation import generate
+from entmark.lm import uniform_lm
+
+DELETE = object()
+# one value of every JSON type, plus near-misses of the valid shapes
+JSON_VALUES = (None, True, 0, -1, 2.5, "", "inf", "x", [], [1, "a"], [-1], {"k": 1})
+
+
+def _valid_record():
+    res = generate(uniform_lm(4), [], 1.0, 40, "its", b"\x00\xff", np.random.default_rng(3))
+    rec = res.to_record()
+    rec["seed_tokens"] = res.tokens[: res.boundary]  # as `attack` writes it
+    return rec
+
+
+VALID = _valid_record()
+FIELDS = tuple(VALID)  # the required six, the optional key fields, metadata
+
+
+def _mutated(mutations):
+    rec = dict(VALID)
+    for name, value in mutations:
+        if value is DELETE:
+            rec.pop(name, None)
+        else:
+            rec[name] = value
+    return rec
+
+
+records = st.one_of(
+    st.lists(st.tuples(st.sampled_from(FIELDS),
+                       st.one_of(st.just(DELETE), st.sampled_from(JSON_VALUES))),
+             min_size=1, max_size=3).map(_mutated),
+    st.sampled_from(JSON_VALUES),  # a line that is not a record object at all
+)
+
+COMMANDS = (
+    ["detect", "--lm", "uniform:4", "--T", "3", "--k", "8"],
+    ["detect", "--lm", "uniform:4", "--T", "3", "--k", "8", "--cost", "bs"],
+    ["detect", "--lm", "uniform:4", "--T", "3", "--k", "8", "--mode", "scan", "--s-max", "2"],
+    ["attack", "--attack", "substitute:0.2", "--vocab-size", "4"],
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(records)
+def test_any_record_keeps_the_exit_code_contract(rec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        for cmd in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(cmd + ["--in", str(path), "--out", str(Path(tmp) / "out.jsonl")])
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
