@@ -185,8 +185,12 @@ def test_from_record_names_the_bad_field(field, value, message):
         rec[field] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         GenerationResult.from_record(rec)
+
+
+@pytest.mark.parametrize("line", [[], 3, "x", None])
+def test_from_record_needs_an_object(line):
     with pytest.raises(ValueError, match="JSON object"):
-        GenerationResult.from_record([rec])
+        GenerationResult.from_record(line)
 
 
 def test_key_sequence_for():
