@@ -147,16 +147,21 @@ def cmd_attack(args):
 def cmd_detect(args):
     lm = _load_model(args)
     records = _read_records(args.infile)
-    config = DetectionConfig(cost=args.cost, k=args.k, T=args.T,
-                             h_mode=args.h_mode, s_max=args.s_max)
     rng = np.random.default_rng(args.seed)
     lines = []
     for _, res in records:
-        code = codes_for_lm(lm, res.coding) if args.cost == "bs" else None
+        # the key kind is the record's sampler unless --cost overrides it
+        cost = args.cost or res.sampler
+        if cost not in ("its", "bs"):
+            raise ValueError(f"{args.infile}: a {cost!r} record has no watermark key; "
+                             "pass --cost its or --cost bs")
+        config = DetectionConfig(cost=cost, k=args.k, T=args.T,
+                                 h_mode=args.h_mode, s_max=args.s_max)
+        code = codes_for_lm(lm, res.coding) if cost == "bs" else None
         if args.mode == "scan":
             report = detect_seed_scan(res.tokens, config, res.salt, lm.size, rng, code=code)
         else:
-            keyseq = key_sequence_for(res, lm.size, code=code, kind=args.cost)
+            keyseq = key_sequence_for(res, lm.size, code=code, kind=cost)
             report = detect_pvalue(res.tokens, keyseq, config, rng, lm.size,
                                    code=code, boundary=res.boundary)
         lines.append(report.to_json())
@@ -268,7 +273,8 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--mode", choices=("key", "scan"), default="key")
-    p.add_argument("--cost", choices=("its", "bs"), default="its")
+    p.add_argument("--cost", choices=("its", "bs"), default=None,
+                   help="key kind (default: each record's sampler)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--T", type=int, default=99)
     p.add_argument("--h-mode", choices=("soft", "hard"), default="soft")

@@ -7,6 +7,7 @@ oracle is a genuine dual route.
 """
 
 import itertools
+import struct
 
 import numpy as np
 
@@ -57,6 +58,40 @@ def scalar_min_block_cost(costs, k):
             if v < best:
                 best, best_i, best_j = v, i, j
     return float(best), best_i, best_j
+
+
+def scalar_chacha20_block(key: bytes, counter: int, nonce: bytes) -> list:
+    """RFC 8439 section 2.3 block function on plain Python ints: the 16
+    output words of one block (constants | key | counter | nonce, ten
+    column-and-diagonal double rounds, feed forward)."""
+    mask = 0xFFFFFFFF
+    state = [0x61707865, 0x3320646E, 0x79622D32, 0x6B206574,
+             *struct.unpack("<8I", key), counter, *struct.unpack("<3I", nonce)]
+    x = list(state)
+
+    def rotl(v, n):
+        return ((v << n) | (v >> (32 - n))) & mask
+
+    def quarter_round(a, b, c, d):
+        x[a] = (x[a] + x[b]) & mask
+        x[d] = rotl(x[d] ^ x[a], 16)
+        x[c] = (x[c] + x[d]) & mask
+        x[b] = rotl(x[b] ^ x[c], 12)
+        x[a] = (x[a] + x[b]) & mask
+        x[d] = rotl(x[d] ^ x[a], 8)
+        x[c] = (x[c] + x[d]) & mask
+        x[b] = rotl(x[b] ^ x[c], 7)
+
+    for _ in range(10):
+        quarter_round(0, 4, 8, 12)
+        quarter_round(1, 5, 9, 13)
+        quarter_round(2, 6, 10, 14)
+        quarter_round(3, 7, 11, 15)
+        quarter_round(0, 5, 10, 15)
+        quarter_round(1, 6, 11, 12)
+        quarter_round(2, 7, 8, 13)
+        quarter_round(3, 4, 9, 14)
+    return [(w + s) & mask for w, s in zip(x, state)]
 
 
 def its_law_exact(probs):

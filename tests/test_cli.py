@@ -153,6 +153,25 @@ def test_huffman_coding_round_trip(tmp_path, model_file):
                 "--coding", "huffman"]) == 1  # the flag is gone
 
 
+def test_detect_takes_the_key_kind_from_the_record(tmp_path, capsys):
+    gen, plain, forced = (tmp_path / name for name in ("gen.jsonl", "d1.jsonl", "d2.jsonl"))
+    assert run(["generate", "--lm", "peaked:8,0.4", "--lambda", "2.0", "--m", "200",
+                "--count", "3", "--sampler", "bs", "--seed", "3", "--out", str(gen)]) == 0
+    detect = ["detect", "--in", str(gen), "--lm", "peaked:8,0.4", "--T", "49", "--seed", "5"]
+    assert run(detect + ["--out", str(plain)]) == 0
+    assert run(detect + ["--cost", "bs", "--out", str(forced)]) == 0
+    assert plain.read_bytes() == forced.read_bytes()
+    assert all(r["cost"] == "bs" and r["p_value"] == pytest.approx(1 / 50)
+               for r in read_jsonl(plain))
+    # a multinomial record has no key kind of its own
+    assert run(["generate", "--lm", "peaked:8,0.4", "--lambda", "2.0", "--m", "60",
+                "--sampler", "multinomial", "--seed", "3", "--out", str(gen)]) == 0
+    capsys.readouterr()
+    assert run(detect) == 1
+    assert "'multinomial' record has no watermark key" in capsys.readouterr().err
+    assert run(detect + ["--cost", "its"]) == 0
+
+
 def test_chained_attacks_keep_the_original_seed(tmp_path):
     gen, once, twice = (tmp_path / name for name in ("gen.jsonl", "a1.jsonl", "a2.jsonl"))
     assert run(["generate", "--lm", "peaked:8,0.4", "--lambda", "2.0", "--m", "120",

@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from entmark.keys import (BsKeySequence, ItsKeySequence, SeedBlock, bs_element,
-                          chacha20_block_bytes, derive_bs_sequence, derive_its_sequence,
-                          derive_key_sequence, derive_prf_key, its_element,
-                          resample_key_sequence, uniform_block, uniform_stream)
+from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, bs_element,
+                          chacha20_block_bytes, chacha20_blocks, derive_bs_sequence,
+                          derive_its_sequence, derive_key_sequence, derive_prf_key,
+                          its_element, resample_key_sequence, uniform_block, uniform_stream)
+from oracles import scalar_chacha20_block
 
 KEY = bytes(range(32))
 
@@ -26,25 +28,47 @@ def test_chacha20_against_library():
     pytest.importorskip("cryptography")
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
+    def library_stream(key, counter, nonce, n_blocks):
+        full = counter.to_bytes(4, "little") + nonce
+        return Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor().update(
+            bytes(64 * n_blocks))
+
     rng = np.random.default_rng(0)
     for _ in range(5):
         key = rng.bytes(32)
         counter = int(rng.integers(0, 2**32))
         nonce = rng.bytes(12)
-        full = counter.to_bytes(4, "little") + nonce
-        lib = Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor().update(bytes(64))
-        assert chacha20_block_bytes(key, counter, nonce) == lib
+        assert chacha20_block_bytes(key, counter, nonce) == library_stream(key, counter, nonce, 1)
+    # one contiguous 40-block run, the counter staying within 32 bits
+    key, nonce = rng.bytes(32), rng.bytes(12)
+    start = int(rng.integers(0, 2**32 - 40))
+    words = chacha20_blocks(key, np.arange(start, start + 40, dtype=np.uint64), nonce)
+    assert words.astype("<u4").tobytes() == library_stream(key, start, nonce, 40)
 
 
-def test_chacha_scalar_and_vector_paths_agree():
-    from entmark.keys import chacha20_blocks
-
+def test_chacha_blocks_match_scalar_oracle():
+    # two passes: a full one and a 37-counter tail
     rng = np.random.default_rng(9)
-    key = rng.bytes(32)
-    counters = rng.integers(0, 2**32, size=100, dtype=np.uint64)
-    full = chacha20_blocks(key, counters)          # vectorized path
-    small = np.vstack([chacha20_blocks(key, counters[i : i + 1]) for i in range(100)])
-    assert np.array_equal(full, small)
+    key, nonce = rng.bytes(32), rng.bytes(12)
+    counters = rng.integers(0, 2**32, size=_PASS + 37, dtype=np.uint64)
+    words = chacha20_blocks(key, counters, nonce)
+    assert words.shape == (counters.size, 16) and words.dtype == np.uint32
+    for ctr, row in zip(counters.tolist(), words.tolist()):
+        assert row == scalar_chacha20_block(key, ctr, nonce)
+
+
+def test_v1_key_bytes_are_pinned():
+    # sha256 of the derived key bytes, recorded before the block function
+    # and Fisher-Yates were vectorized; PRF_ID v1 must never change them
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
+
+    its = derive_its_sequence(KEY, 397, 256, 8)
+    assert digest(its.u, its.ranks) == "a398f5324c3d1ad5"
+    # counters of these positions cross into the 2**32 high (nonce) word
+    its = derive_its_sequence(KEY, 3, 256, 8, start=16207422)
+    assert digest(its.u, its.ranks) == "984a41b5de042e80"
+    assert digest(derive_bs_sequence(KEY, 397, 8, 3).u) == "f2d80cc74b9330bd"
 
 
 def test_uniform_stream_determinism_and_range():
