@@ -16,7 +16,7 @@ import numpy as np
 from . import experiments, metrics
 from .attacks import apply_attacks, parse_attack_spec
 from .coding import CODING_MODES, codes_for_lm
-from .detection import DetectionConfig, detect_pvalue, detect_seed_scan
+from .detection import H_MODES, DetectionConfig, detect_pvalue, detect_seed_scan
 from .generation import GenerationResult, generate, key_sequence_for
 from .lm import load_lm, peaked_lm, save_lm, skewed_lm, train_from_text, uniform_lm
 from .sampling import SAMPLER_KINDS
@@ -277,7 +277,7 @@ def build_parser():
                    help="key kind (default: each record's sampler)")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--T", type=int, default=99)
-    p.add_argument("--h-mode", choices=("soft", "hard"), default="soft")
+    p.add_argument("--h-mode", choices=H_MODES, default="soft")
     p.add_argument("--s-max", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

@@ -5,7 +5,9 @@ string and every bit needs a conditional probability under the current token
 distribution. The reference code is fixed length: token id ``i`` gets the
 ``ceil(log2 N)``-bit big-endian representation of ``i``, and bit patterns at
 or above ``N`` are unused. A variable-length Huffman code built from a weight
-table is available behind ``mode="huffman"``.
+table is available behind ``mode="huffman"``. Either code is held as one
+integer tree, built once, that the samplers and the detection maps walk by
+node id; the bit strings remain for encoding, decoding and inspection.
 """
 
 import heapq
@@ -26,20 +28,37 @@ def code_length(n_tokens: int) -> int:
 
 @dataclass(frozen=True)
 class TokenCode:
-    """Bijection between token ids and prefix-free bit strings.
+    """Bijection between token ids and prefix-free bit strings, as a tree.
 
     ``codes[i]`` is the bit string of token ``i``; ``max_bits`` bounds every
-    code length (and equals it exactly in fixed mode). ``node_ids`` maps each
-    realizable bit prefix to the array of token ids beneath it, which is what
-    bitwise sampling walks. Immutable; concurrent reads are safe.
+    code length (and equals it exactly in fixed mode). Node 0 is the empty
+    prefix; ``child[node, bit]`` extends it by one bit (a leaf is its own
+    child), ``leaf[node]`` is the token a leaf reads as (-1 for inner nodes),
+    ``members[node]`` the ascending ids of the tokens beneath it, and
+    ``[lo, lo + 2**-depth)`` the dyadic cell its prefix spells. A fixed code
+    over N < 2**L tokens keeps each unused pattern as a leaf with no members
+    that reads as token N-1; Huffman trees are full. Immutable; concurrent
+    reads are safe.
     """
 
     n_tokens: int
     max_bits: int
     mode: str
     codes: tuple
-    _decode: dict = field(repr=False)
-    node_ids: dict = field(repr=False)
+    child: np.ndarray = field(repr=False, compare=False)
+    leaf: np.ndarray = field(repr=False, compare=False)
+    members: tuple = field(repr=False, compare=False)
+    lo: np.ndarray = field(repr=False, compare=False)
+    depth: np.ndarray = field(repr=False, compare=False)
+
+    def node(self, prefix: str) -> int:
+        """Node id of a bit prefix, walked down from the root."""
+        v = 0
+        for bit in prefix:
+            if self.leaf[v] >= 0 or bit not in ("0", "1"):
+                raise ValueError(f"bit string {prefix!r} leaves the code tree")
+            v = self.child[v, int(bit)]
+        return int(v)
 
     def encode(self, token: int) -> str:
         if not 0 <= token < self.n_tokens:
@@ -47,23 +66,33 @@ class TokenCode:
         return self.codes[token]
 
     def decode(self, bits: str) -> int:
-        try:
-            return self._decode[bits]
-        except KeyError:
-            raise ValueError(f"invalid code word {bits!r}") from None
-
-    def is_leaf(self, prefix: str) -> bool:
-        return prefix in self._decode
+        v = self.node(bits)
+        if self.leaf[v] < 0 or self.members[v].size == 0:
+            raise ValueError(f"invalid code word {bits!r}")
+        return int(self.leaf[v])
 
 
 def _finish(n_tokens, max_bits, mode, codes):
-    decode = {c: i for i, c in enumerate(codes)}
-    node_ids = {}
-    for i, c in enumerate(codes):
-        for j in range(len(c) + 1):
-            node_ids.setdefault(c[:j], []).append(i)
-    node_ids = {k: np.asarray(v, dtype=np.int64) for k, v in node_ids.items()}
-    return TokenCode(n_tokens, max_bits, mode, tuple(codes), decode, node_ids)
+    words = list(codes)
+    if mode == "fixed":  # unused patterns become empty leaves
+        words += [format(v, f"0{max_bits}b") for v in range(n_tokens, 1 << max_bits)]
+    # every prefix once, each after its parent, so node 0 is the empty prefix
+    prefixes = list(dict.fromkeys(w[:j] for w in words for j in range(len(w) + 1)))
+    ids = {b: v for v, b in enumerate(prefixes)}
+    token_of = {w: t for t, w in enumerate(words)}
+    members = [[] for _ in prefixes]
+    for t, w in enumerate(codes):
+        for j in range(len(w) + 1):
+            members[ids[w[:j]]].append(t)
+    return TokenCode(
+        n_tokens, max_bits, mode, tuple(codes),
+        child=np.array([[ids.get(b + "0", v), ids.get(b + "1", v)]
+                        for v, b in enumerate(prefixes)]),
+        leaf=np.array([min(token_of.get(b, -1), n_tokens - 1) for b in prefixes]),
+        members=tuple(np.array(m, dtype=np.int64) for m in members),
+        lo=np.array([sum(0.5 ** (j + 1) for j, c in enumerate(b) if c == "1") for b in prefixes]),
+        depth=np.array([len(b) for b in prefixes]),
+    )
 
 
 def build_codes(n_tokens: int) -> TokenCode:
@@ -119,12 +148,9 @@ def codes_for_lm(lm, mode: str = "fixed") -> TokenCode:
     raise ValueError(f"unknown coding mode {mode!r}")
 
 
-def prefix_mass(probs: np.ndarray, code: TokenCode, prefix: str) -> float:
-    """Total probability of tokens whose code starts with ``prefix``."""
-    ids = code.node_ids.get(prefix)
-    if ids is None:
-        return 0.0
-    return float(probs[ids].sum())
+def prefix_mass(probs: np.ndarray, code: TokenCode, node: int) -> float:
+    """Total probability of the tokens beneath code-tree node ``node``."""
+    return float(probs[code.members[node]].sum())
 
 
 def bit_conditional(probs: np.ndarray, code: TokenCode, prefix: str) -> float:
@@ -132,10 +158,10 @@ def bit_conditional(probs: np.ndarray, code: TokenCode, prefix: str) -> float:
     p = validate_distribution(probs)
     if p.size != code.n_tokens:
         raise ValueError("distribution size does not match code")
-    if code.is_leaf(prefix):
+    v = code.node(prefix)
+    if code.leaf[v] >= 0:
         raise ValueError(f"prefix {prefix!r} is already a full code word")
-    node = prefix_mass(p, code, prefix)
+    node = prefix_mass(p, code, v)
     if node <= 0.0:
         raise ValueError(f"unreachable prefix {prefix!r}")
-    return prefix_mass(p, code, prefix + "1") / node
-
+    return prefix_mass(p, code, code.child[v, 1]) / node

@@ -51,6 +51,7 @@ except ImportError:
 DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
+H_MODES = ("soft", "hard")
 
 
 def eta(tokens, n_vocab: int) -> np.ndarray:
@@ -63,60 +64,33 @@ def eta(tokens, n_vocab: int) -> np.ndarray:
     return ids / (n_vocab - 1)
 
 
+def _descend(bits, code: TokenCode) -> np.ndarray:
+    """The code-tree node each row of 0/1 ``bits`` reaches, one level per
+    column; a row that reaches a leaf early stays on it."""
+    node = np.zeros(bits.shape[0], dtype=np.int64)
+    for j in range(code.max_bits):
+        node = code.child[node, bits[:, j]]
+    return node
+
+
 def h_hard(u, code: TokenCode) -> np.ndarray:
-    """Threshold-and-decode h: eta of the token whose bits are 1(u > 1/2)."""
+    """Threshold-and-decode h: eta of the leaf the bits 1(u > 1/2) reach;
+    an unused fixed-code pattern reads as token N-1."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    bits = u > 0.5
-    if code.mode == "fixed":
-        weights = 1 << np.arange(code.max_bits - 1, -1, -1, dtype=np.int64)
-        vals = bits[:, : code.max_bits].astype(np.int64) @ weights
-        vals = np.minimum(vals, code.n_tokens - 1)  # clamp unused patterns
-        return vals / (code.n_tokens - 1)
-    out = np.empty(u.shape[0])
-    for r in range(u.shape[0]):
-        prefix = ""
-        j = 0
-        while not code.is_leaf(prefix):
-            prefix += "1" if bits[r, j] else "0"
-            if prefix not in code.node_ids:  # clamp: largest word below
-                prefix = prefix[:-1] + "0"
-            j += 1
-        out[r] = code.decode(prefix) / (code.n_tokens - 1)
-    return out
+    node = _descend((u > 0.5).astype(np.int64), code)
+    return code.leaf[node] / (code.n_tokens - 1)
 
 
 def h_soft(u, code: TokenCode) -> np.ndarray:
-    """CDF-position h: the dyadic cell of the thresholded bits plus a
-    residual recycled from the final uniform; uniform on [0, 1) under
-    uniform keys."""
+    """CDF-position h: the dyadic cell of the leaf the bits 1(u >= 1/2)
+    reach, plus a residual recycled from the uniform of its last bit;
+    uniform on [0, 1) under uniform keys."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    if code.mode == "fixed":
-        bits = u[:, : code.max_bits] >= 0.5
-        weights = 1 << np.arange(code.max_bits - 1, -1, -1, dtype=np.int64)
-        vals = bits.astype(np.int64) @ weights
-        rho = 2.0 * u[:, code.max_bits - 1]
-        rho -= np.floor(rho)
-        return (vals + rho) / (1 << code.max_bits)
-    out = np.empty(u.shape[0])
-    for r in range(u.shape[0]):
-        lo, width = 0.0, 1.0
-        prefix = ""
-        j = 0
-        while not code.is_leaf(prefix):
-            width *= 0.5
-            if u[r, j] >= 0.5:
-                candidate = prefix + "1"
-                if candidate in code.node_ids:
-                    prefix, lo = candidate, lo + width
-                else:
-                    prefix = prefix + "0"
-            else:
-                prefix += "0"
-            j += 1
-        rho = 2.0 * u[r, j - 1]
-        rho -= np.floor(rho)
-        out[r] = lo + width * rho
-    return out
+    node = _descend((u >= 0.5).astype(np.int64), code)
+    depth = code.depth[node]
+    rho = 2.0 * u[np.arange(u.shape[0]), depth - 1]
+    rho -= np.floor(rho)
+    return code.lo[node] + np.ldexp(rho, -depth)
 
 
 def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np.ndarray:
@@ -126,7 +100,7 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
     token-id order (the order eta uses) for fixed-length canonical codes;
     variable-length codes therefore always use the decode-based hard map.
     """
-    if h_mode not in ("soft", "hard"):
+    if h_mode not in H_MODES:
         raise ValueError(f"unknown h mode {h_mode!r}")
     if h_mode == "soft" and code.mode == "fixed":
         return h_soft(keyseq.u, code)
@@ -146,7 +120,8 @@ def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
         if code is None:
             raise ValueError("binary cost requires a token code")
         h = h_values(keyseq, code, h_mode)
-        return -np.outer(h - 0.5, eta(y, n_vocab) - 0.5)
+        # eta without its range scans: _token_ids checked the text
+        return -np.outer(h - 0.5, y / (n_vocab - 1) - 0.5)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
 
 
@@ -191,6 +166,10 @@ class DetectionConfig:
             raise ValueError(f"unknown cost kind {self.cost!r}")
         if self.T < 1:
             raise ValueError("resample count T must be >= 1")
+        if self.h_mode not in H_MODES:
+            raise ValueError(f"unknown h mode {self.h_mode!r}")
+        if self.s_max is not None and self.s_max < 0:
+            raise ValueError("scan bound s_max must be >= 0")
         return self
 
 

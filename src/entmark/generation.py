@@ -30,23 +30,36 @@ def watermark_entropy(probs: np.ndarray, token: int) -> float:
     return float(1.0 - p[token])
 
 
+# Bound on n * N * 8, the bytes of an its key's rank table (and more than a bs
+# key's n * L uniforms take). Deriving an its key peaks at ~15x its rank table
+# (228 MB for the 16 MB of n = 8000, N = 256), so this keeps a key's working
+# memory near 2 GiB; a larger key would exhaust memory part-way through.
+MAX_KEY_BYTES = 2**27
+
+
 def _is_ids(value) -> bool:
     return type(value) is list and all(type(t) is int for t in value)
 
 
-# The record fields keys depend on: check and expected shape; the first six
-# are required. Ids must also fit the 4-byte words a seed block hashes.
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# The fields a record is read back with: check and expected shape; the first
+# six are required. Ids must also fit the 4-byte words a seed block hashes.
 _RECORD_FIELDS = {
     "tokens": (_is_ids, "a list of integer token ids"),
     "boundary": (lambda v: v is None or type(v) is int and v >= 0, "null or an integer >= 0"),
     "sampler": (lambda v: v in SAMPLER_KINDS, f"one of {SAMPLER_KINDS}"),
-    "lambda": (lambda v: v == "inf" or type(v) in (int, float) and v >= 0,
-               'a number >= 0 or "inf"'),
+    "lambda": (lambda v: v == "inf" or _is_number(v) and v >= 0, 'a number >= 0 or "inf"'),
     "salt": (lambda v: type(v) is str and re.fullmatch("([0-9a-fA-F]{2})*", v), "a hex string"),
     "m": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "prompt": (_is_ids, "a list of integer token ids"),
     "coding": (lambda v: v in CODING_MODES, f"one of {CODING_MODES}"),
     "seed_tokens": (_is_ids, "a list of integer token ids"),
+    "prf_id": (lambda v: v == PRF_ID, f"{PRF_ID!r}, the only key derivation"),
+    "top_p": (lambda v: v is None or _is_number(v) and 0 < v <= 1, "null or a number in (0, 1]"),
+    "temperature": (lambda v: v is None or _is_number(v) and v > 0, "null or a number > 0"),
 }
 _REQUIRED_FIELDS = tuple(_RECORD_FIELDS)[:6]
 
@@ -212,4 +225,7 @@ def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | N
     n = result.m - result.boundary
     if n < 1:
         raise ValueError("no watermarked positions to derive keys for")
+    if n * n_vocab * 8 > MAX_KEY_BYTES:
+        raise ValueError(f"record field 'm' = {result.m} needs {n} key positions over "
+                         f"{n_vocab} tokens, past the {MAX_KEY_BYTES >> 20} MiB key limit")
     return keymod.derive_key_sequence(seed, kind, n, n_vocab, keymod.key_bits(n_vocab, code))

@@ -34,7 +34,7 @@ def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
 
 
 def sample_bs(probs: np.ndarray, code: TokenCode, elem: BsKeyElement) -> int:
-    """Resolve code bits most-significant first until a code word is complete.
+    """Walk the code tree from the root, one bit per uniform, until a leaf.
 
     Zero-probability branches are never taken: their conditional is 0 or 1,
     which forces the bit regardless of the uniform, so unused bit patterns
@@ -44,56 +44,46 @@ def sample_bs(probs: np.ndarray, code: TokenCode, elem: BsKeyElement) -> int:
     if p.size != code.n_tokens:
         raise ValueError("distribution size does not match code")
     u = np.asarray(elem.u, dtype=np.float64)
-    prefix = ""
-    node = prefix_mass(p, code, prefix)
+    v = 0
+    node = prefix_mass(p, code, v)
     if node <= 0.0:
         raise ValueError("distribution has no mass")
     for j in range(code.max_bits):
-        if code.is_leaf(prefix):
+        if code.leaf[v] >= 0:
             break
         if j >= u.size:
             raise ValueError("key element has too few uniforms for this code")
-        one = prefix_mass(p, code, prefix + "1")
+        one = prefix_mass(p, code, code.child[v, 1])
         q = one / node
         if u[j] >= 1.0 - q:
-            prefix += "1"
-            node = one
+            v, node = code.child[v, 1], one
         else:
-            prefix += "0"
-            node = node - one
-    return code.decode(prefix)
+            v, node = code.child[v, 0], node - one
+    return int(code.leaf[v])
 
 
 def sample_bs_many(probs: np.ndarray, code: TokenCode, u: np.ndarray) -> np.ndarray:
-    """Vectorized sample_bs for many key elements against one fixed-length code.
+    """Vectorized sample_bs for many key elements.
 
-    ``u`` has shape (count, L). Walks all rows through the code tree level by
-    level using a per-node conditional table; agrees with sample_bs element
-    for element.
+    ``u`` has shape (count, max_bits). Every row walks the code tree one
+    level per column with sample_bs's arithmetic (rows at a leaf stay
+    there), so the two agree element for element.
     """
-    if code.mode != "fixed":
-        raise ValueError("sample_bs_many supports fixed-length codes only")
     p = validate_distribution(probs)
     if p.size != code.n_tokens:
         raise ValueError("distribution size does not match code")
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    n_bits = code.max_bits
-    if u.shape[1] < n_bits:
+    if u.shape[1] < code.max_bits:
         raise ValueError("key elements have too few uniforms for this code")
-    cum = np.concatenate(([0.0], np.cumsum(p)))
-    vals = np.zeros(u.shape[0], dtype=np.int64)
-    for j in range(n_bits):
-        shift = n_bits - j
-        lo = np.minimum(vals << shift, p.size)
-        hi = np.minimum((vals + 1) << shift, p.size)
-        mid = np.minimum(lo + (1 << (shift - 1)), p.size)
-        node = cum[hi] - cum[lo]
-        one = cum[hi] - cum[mid]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(node > 0, one / np.where(node > 0, node, 1.0), 0.0)
-        bit = u[:, j] >= 1.0 - q
-        vals = (vals << 1) | bit.astype(np.int64)
-    return vals
+    mass = np.array([prefix_mass(p, code, v) for v in range(len(code.members))])
+    v = np.zeros(u.shape[0], dtype=np.int64)
+    node = np.full(u.shape[0], mass[0])
+    for j in range(code.max_bits):
+        one = mass[code.child[v, 1]]
+        bit = u[:, j] >= 1.0 - one / node
+        v = code.child[v, bit.astype(np.int64)]
+        node = np.where(bit, one, node - one)
+    return code.leaf[v]
 
 
 def sample_multinomial(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -166,6 +166,85 @@ def bs_law_exact(probs, codes, bit_rule):
     return law
 
 
+def _string_maps(code):
+    """Code word -> token, and every realizable prefix -> the ascending ids
+    of the tokens whose words extend it."""
+    decode = {c: i for i, c in enumerate(code.codes)}
+    node_ids = {}
+    for i, c in enumerate(code.codes):
+        for j in range(len(c) + 1):
+            node_ids.setdefault(c[:j], []).append(i)
+    return decode, {k: np.asarray(v, dtype=np.int64) for k, v in node_ids.items()}
+
+
+def scalar_sample_bs(probs, code, u) -> int:
+    """Binary sampling grown as a bit string: bit = 1 iff u_j >= 1 - q, q
+    the mass of the tokens under prefix + "1" over the running mass of the
+    prefix, until the prefix is a code word."""
+    p = np.asarray(probs, dtype=np.float64)
+    decode, node_ids = _string_maps(code)
+
+    def mass(prefix):
+        ids = node_ids.get(prefix)
+        return 0.0 if ids is None else float(p[ids].sum())
+
+    prefix = ""
+    node = mass(prefix)
+    while prefix not in decode:
+        one = mass(prefix + "1")
+        if u[len(prefix)] >= 1.0 - one / node:
+            prefix, node = prefix + "1", one
+        else:
+            prefix, node = prefix + "0", node - one
+    return decode[prefix]
+
+
+def scalar_h_hard(u, code) -> np.ndarray:
+    """Threshold-and-decode h per row: a fixed code reads its L bits
+    1(u > 1/2) as an integer clamped to N-1 (unused patterns clamp to the
+    last word); a variable-length code grows the prefix until it is a word."""
+    decode, _ = _string_maps(code)
+    out = []
+    for row in np.atleast_2d(u):
+        bits = "".join("1" if x > 0.5 else "0" for x in row)
+        if code.mode == "fixed":
+            tok = min(int(bits[: code.max_bits], 2), code.n_tokens - 1)
+        else:
+            prefix = ""
+            while prefix not in decode:
+                prefix += bits[len(prefix)]
+            tok = decode[prefix]
+        out.append(tok / (code.n_tokens - 1))
+    return np.array(out)
+
+
+def scalar_h_soft(u, code) -> np.ndarray:
+    """CDF-position h per row: the dyadic cell of the bits 1(u >= 1/2)
+    (all L bits for a fixed code, unused patterns included; up to the
+    completed word otherwise) plus frac(2 u) of the last bit's uniform."""
+    decode, _ = _string_maps(code)
+    out = []
+    for row in np.atleast_2d(u):
+        if code.mode == "fixed":
+            n_bits = code.max_bits
+            vals = int("".join("1" if x >= 0.5 else "0" for x in row[:n_bits]), 2)
+            rho = 2.0 * row[n_bits - 1]
+            rho -= np.floor(rho)
+            out.append((vals + rho) / (1 << n_bits))
+            continue
+        lo, width, prefix = 0.0, 1.0, ""
+        while prefix not in decode:
+            width *= 0.5
+            if row[len(prefix)] >= 0.5:
+                prefix, lo = prefix + "1", lo + width
+            else:
+                prefix += "0"
+        rho = 2.0 * row[len(prefix) - 1]
+        rho -= np.floor(rho)
+        out.append(lo + width * rho)
+    return np.array(out)
+
+
 def pairwise_auc(pos, neg):
     """AUC by direct comparison of every (positive, negative) pair."""
     wins = 0.0
@@ -213,9 +292,9 @@ def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
     p = validate_distribution(probs)
     prob = 1.0
     for j, b in enumerate(bits):
-        node = prefix_mass(p, code, bits[:j])
+        node = prefix_mass(p, code, code.node(bits[:j]))
         if node <= 0.0:
             return 0.0
-        q1 = prefix_mass(p, code, bits[:j] + "1") / node
+        q1 = prefix_mass(p, code, code.node(bits[:j] + "1")) / node
         prob *= q1 if b == "1" else 1.0 - q1
     return prob

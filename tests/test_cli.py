@@ -92,6 +92,8 @@ def test_exit_codes(tmp_path, model_file):
     assert run(["generate", "--lm", str(model_file), "--sampler", "gumbel"]) == 1
     gen = tmp_path / "g.jsonl"
     assert run(["generate", "--lm", str(model_file), "--m", "60", "--out", str(gen)]) == 0
+    assert run(["detect", "--in", str(gen), "--lm", str(model_file), "--mode", "scan",
+                "--s-max", "-1"]) == 1
     # removed flags and subcommands are usage errors
     assert run(["detect", "--in", str(gen), "--lm", str(model_file),
                 "--backend", "python"]) == 1
@@ -190,6 +192,7 @@ def test_chained_attacks_keep_the_original_seed(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("tokens", None), ("boundary", None), ("sampler", None), ("lambda", None),
     ("salt", None), ("m", None), ("salt", 7), ("tokens", "1 2 3"), ("m", "60"),
+    ("prf_id", "made-up-prf/v9"), ("prf_id", 7), ("top_p", "x"), ("temperature", [1]),
 ])
 def test_malformed_record_exits_1_naming_field_and_line(tmp_path, capsys, field, value):
     gen = tmp_path / "gen.jsonl"
@@ -207,6 +210,18 @@ def test_malformed_record_exits_1_naming_field_and_line(tmp_path, capsys, field,
         assert run(cmd + ["--in", str(gen), "--out", str(tmp_path / "out.jsonl")]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err and repr(field) in err
+
+
+def test_detect_rejects_an_unbounded_m(tmp_path, capsys):
+    gen = tmp_path / "gen.jsonl"
+    assert run(["generate", "--lm", "uniform:4", "--lambda", "1.0", "--m", "40",
+                "--out", str(gen)]) == 0
+    rec = read_jsonl(gen)[0]
+    rec["m"] = 10**15
+    gen.write_text(json.dumps(rec) + "\n")
+    capsys.readouterr()
+    assert run(["detect", "--in", str(gen), "--lm", "uniform:4", "--T", "3"]) == 1
+    assert "record field 'm' = 1000000000000000" in capsys.readouterr().err
 
 
 def test_model_file_named_like_a_builtin(tmp_path, monkeypatch):

@@ -3,8 +3,11 @@ import pytest
 
 from entmark.coding import (bit_conditional, build_codes, build_huffman_codes,
                             codes_for_lm, prefix_mass)
+from entmark.detection import h_hard, h_soft
+from entmark.keys import BsKeyElement
 from entmark.lm import skewed_lm
-from oracles import path_probability
+from entmark.sampling import sample_bs, sample_bs_many
+from oracles import path_probability, scalar_h_hard, scalar_h_soft, scalar_sample_bs
 
 
 def test_fixed_codes_canonical():
@@ -55,11 +58,12 @@ def test_prefix_mass_splits():
     for _ in range(20):
         p = rng.dirichlet(np.ones(3))
         for prefix in ("", "0", "1"):
-            node = prefix_mass(p, code, prefix)
+            node = prefix_mass(p, code, code.node(prefix))
             assert node == pytest.approx(
-                prefix_mass(p, code, prefix + "0") + prefix_mass(p, code, prefix + "1")
+                prefix_mass(p, code, code.node(prefix + "0"))
+                + prefix_mass(p, code, code.node(prefix + "1"))
             )
-    assert prefix_mass(np.ones(3) / 3, code, "") == pytest.approx(1.0)
+    assert prefix_mass(np.ones(3) / 3, code, code.node("")) == pytest.approx(1.0)
 
 
 def test_path_probability_telescopes():
@@ -104,3 +108,30 @@ def test_codes_for_lm_modes():
     assert h1.codes == h2.codes
     with pytest.raises(ValueError):
         codes_for_lm(lm, "arithmetic")
+
+
+def test_tree_walks_match_string_oracles():
+    # fixed codes of any size (unused patterns included) and Huffman codes,
+    # against distributions with zero-mass tokens and subtrees
+    rng = np.random.default_rng(8)
+    for trial in range(90):
+        if trial % 3 == 2:
+            code = build_huffman_codes(rng.integers(1, 50, size=int(rng.integers(2, 40))))
+        else:
+            code = build_codes(int(rng.integers(2, 70)))
+        n = code.n_tokens
+        p = rng.dirichlet(np.ones(n))
+        if trial % 2:
+            p[rng.random(n) < 0.5] = 0.0
+            if trial % 4 == 3:
+                p[: n // 2] = 0.0  # a zero-mass half of the tree
+            if p.sum() == 0.0:
+                p[-1] = 1.0
+            p /= p.sum()
+        u = rng.random((150, code.max_bits))
+        u[rng.random(u.shape) < 0.05] = 0.5  # exercise > and >= at 1/2
+        want = [scalar_sample_bs(p, code, row) for row in u]
+        assert [sample_bs(p, code, BsKeyElement(row)) for row in u] == want
+        assert sample_bs_many(p, code, u).tolist() == want
+        assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()
+        assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()

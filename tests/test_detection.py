@@ -67,6 +67,20 @@ def test_h_soft_huffman_walk():
         h_values(resample_key_sequence(rng, "bs", 3, 4, 2), build_codes(4), "warm")
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"h_mode": "warm"}, "unknown h mode 'warm'"),
+    ({"s_max": -1}, "s_max must be >= 0"),
+])
+def test_config_rejects_bad_knobs(bad, message):
+    rng = np.random.default_rng(6)
+    y = rng.integers(4, size=10)
+    config = DetectionConfig(cost="its", k=5, T=3, **bad)
+    with pytest.raises(ValueError, match=message):
+        detect_pvalue(y, resample_key_sequence(rng, "its", 10, 4, 2), config, rng, 4)
+    with pytest.raises(ValueError, match=message):
+        detect_seed_scan(y, config, b"s", 4, rng)
+
+
 def test_cost_its_examples():
     # single token, u=0.9, identity ranks, last token: -(0.4)(0.5)
     assert cost_its([3], [0.9], [[0, 1, 2, 3]], 4) == pytest.approx(-0.2)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from entmark import keys as keymod
 from entmark.coding import codes_for_lm
 from entmark.detection import replay_boundary
-from entmark.generation import (GenerationResult, generate, generate_baseline,
+from entmark.generation import (MAX_KEY_BYTES, GenerationResult, generate, generate_baseline,
                                 key_sequence_for, watermark_entropy)
 from entmark.keys import SeedBlock
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
@@ -176,6 +177,14 @@ def test_record_seed_tokens_decide_the_seed_block():
     ("seed_tokens", [-1], "'seed_tokens': token id -1 out of range"),
     ("prompt", [2**32], "'prompt': token id 4294967296 out of range"),
     ("coding", "unary", "'coding' must be one of"),
+    ("prf_id", "made-up-prf/v9", "'prf_id' must be 'sha256-chacha20/53'"),
+    ("prf_id", 7, "'prf_id' must be 'sha256-chacha20/53'"),
+    ("top_p", "x", "'top_p' must be null or a number in (0, 1]"),
+    ("top_p", 0, "'top_p' must be null or a number in (0, 1]"),
+    ("top_p", 1.5, "'top_p' must be null or a number in (0, 1]"),
+    ("temperature", [1], "'temperature' must be null or a number > 0"),
+    ("temperature", 0.0, "'temperature' must be null or a number > 0"),
+    ("temperature", True, "'temperature' must be null or a number > 0"),
 ])
 def test_from_record_names_the_bad_field(field, value, message):
     rec = generate(skewed_lm(4), [], 1.0, 30, "its", b"s", np.random.default_rng(2)).to_record()
@@ -207,6 +216,25 @@ def test_key_sequence_for():
     # forcing a cost kind on a multinomial record is allowed for null scoring
     forced = key_sequence_for(multi, lm.size, kind="its")
     assert forced.kind == "its"
+
+
+def test_key_sequence_for_bounds_m(monkeypatch):
+    class Derived(Exception):
+        pass
+
+    def derive(*args):
+        raise Derived
+
+    lm = uniform_lm(4)
+    res = generate(lm, [], 1.0, 10, "its", b"s", np.random.default_rng(1))
+    monkeypatch.setattr(keymod, "derive_key_sequence", derive)
+    res.m = 10**15
+    for kind in ("its", "bs"):  # rejected before anything is derived
+        with pytest.raises(ValueError, match="record field 'm' = 1000000000000000"):
+            key_sequence_for(res, lm.size, kind=kind)
+    res.m = res.boundary + MAX_KEY_BYTES // (8 * lm.size)  # the largest key allowed
+    with pytest.raises(Derived):
+        key_sequence_for(res, lm.size)
 
 
 def test_pre_boundary_faithfulness_empirical():

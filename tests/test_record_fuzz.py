@@ -1,5 +1,6 @@
-"""Property test of the CLI's record contract: any record, however mangled,
-makes `detect` and `attack` exit 0, 1 or 2 without a traceback."""
+"""Property tests of the CLI's exit-code contract: any record, however
+mangled, makes `detect` and `attack` exit 0, 1 or 2 without a traceback, and
+so does any mangling of the flags of `detect`, `attack` and `generate`."""
 
 import contextlib
 import io
@@ -30,7 +31,8 @@ def _valid_record():
 
 
 VALID = _valid_record()
-FIELDS = tuple(VALID)  # the required six, the optional key fields, metadata
+# the required six, the optional key fields, metadata, the decoding regime
+FIELDS = tuple(VALID) + ("top_p", "temperature")
 
 
 def _mutated(mutations):
@@ -70,3 +72,50 @@ def test_any_record_keeps_the_exit_code_contract(rec):
                 rc = main(cmd + ["--in", str(path), "--out", str(Path(tmp) / "out.jsonl")])
             assert rc in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
+
+
+# each command's flags with valid values; --in and --out stay fixed
+FLAGS = {
+    "detect": {"--lm": "uniform:4", "--mode": "key", "--cost": "its", "--k": "8", "--T": "3",
+               "--h-mode": "soft", "--s-max": "2", "--seed": "0"},
+    "attack": {"--attack": "substitute:0.2", "--vocab-size": "4", "--lm": "uniform:4",
+               "--seed": "0"},
+    "generate": {"--lm": "uniform:4", "--prompt-ids": "1,2", "--lambda": "1.0", "--m": "20",
+                 "--count": "2", "--sampler": "bs", "--coding": "huffman", "--salt": "00ff",
+                 "--seed": "0", "--top-p": "0.9", "--temperature": "1.5"},
+}
+# near-misses of every flag's valid values, kept small enough to run fast
+FLAG_VALUES = ("", "-1", "0", "1", "3", "2.5", "nan", "inf", "1e3", "x", "-", "1,,9",
+               "uniform:1", "uniform:x", "peaked:4,2", "skewed:0", "substitute:2", "crop:5:2",
+               "insert:-1", "its", "bs", "multinomial", "huffman", "scan", "hard")
+
+
+def _argv(command, mutations):
+    flags = dict(FLAGS[command])
+    for flag, value in mutations:
+        if value is DELETE:
+            flags.pop(flag, None)
+        else:
+            flags[flag] = value
+    return [command] + [part for flag, value in flags.items() for part in (flag, value)]
+
+
+argvs = st.sampled_from(tuple(FLAGS)).flatmap(lambda command: st.lists(
+    st.tuples(st.sampled_from(tuple(FLAGS[command])),
+              st.one_of(st.just(DELETE), st.sampled_from(FLAG_VALUES))),
+    min_size=1, max_size=3).map(lambda mutations: _argv(command, mutations)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argvs)
+def test_any_argv_keeps_the_exit_code_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.jsonl"
+        path.write_text(json.dumps(VALID) + "\n")
+        if argv[0] != "generate":
+            argv += ["--in", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--out", str(Path(tmp) / "out.jsonl")])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

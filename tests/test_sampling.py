@@ -81,8 +81,10 @@ def test_sample_bs_huffman_mode():
 
 def test_sample_bs_many_matches_scalar():
     rng = np.random.default_rng(3)
-    for n in (2, 3, 4, 8):
-        code = build_codes(n)
+    codes = [build_codes(n) for n in (2, 3, 4, 8)]
+    codes += [build_huffman_codes(w) for w in ([8, 4, 2, 1], [1, 1, 1], rng.random(11) + 0.1)]
+    for code in codes:
+        n = code.n_tokens
         p = rng.dirichlet(np.ones(n))
         u = rng.random((500, code.max_bits))
         vec = sample_bs_many(p, code, u)
