@@ -23,45 +23,34 @@ resampled key sequences. For binary keys, h maps a key element's uniforms to
   The hard map over-weights the cell endpoints and inflates that gap, so it
   is kept for inspection but not used as the cost default.
 
-The (i, j) search grid and the T resamples are embarrassingly parallel; this
-implementation evaluates them sequentially through a compiled kernel when the
-extension built, with a NumPy fallback that returns bit-identical results.
+The search for phi is one NumPy kernel, ``min_block_costs``, over a stack of
+cost grids: ``phi`` runs it on one grid, and ``detect_pvalue`` runs its search
+on the null grids of as many resamples as fit in a fixed byte budget at a
+time, each grid written straight into the kernel's diagonal layout.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coding import TokenCode
 from .keys import (BsKeySequence, SeedBlock, derive_key_sequence, key_bits,
                    resample_key_sequence)
 
-# Fixed at import, with no option: the compiled kernel when the extension
-# built, else its bit-identical NumPy twin. DEFAULT_BACKEND names the one in use.
-try:
-    from ._alignment import min_block_cost
-
-    HAVE_COMPILED = True
-except ImportError:
-    from ._alignment_py import min_block_cost
-
-    HAVE_COMPILED = False
-
-DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "python"
+# The one alignment kernel's name, read by the benchmark's environment report.
+DEFAULT_BACKEND = "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
 H_MODES = ("soft", "hard")
-
-
-def eta(tokens, n_vocab: int) -> np.ndarray:
-    """Map token ids 0..N-1 onto [0, 1] with mean 1/2 under uniform ids."""
-    if n_vocab < 2:
-        raise ValueError("eta needs a vocabulary of at least 2 tokens")
-    ids = np.asarray(tokens, dtype=np.float64)
-    if np.any(ids < 0) or np.any(ids > n_vocab - 1):
-        raise ValueError("token id out of range")
-    return ids / (n_vocab - 1)
+# Bytes of null grids detect_pvalue searches per kernel call. The search makes
+# a few NumPy calls per text step whatever the batch, so batching pays on
+# long texts: on a 2-core Xeon, detect-long ops (396 x 400 grids, 1.27 MB
+# each) took 250-390 ms at 4 MiB (three grids a call) against 540-630 ms at
+# 2 MiB (one grid), and 8 MiB gained nothing beyond noise for 4 MB more peak
+# RSS.
+_CHUNK_BYTES = 4 << 20
 
 
 def _descend(bits, code: TokenCode) -> np.ndarray:
@@ -123,6 +112,67 @@ def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
         # eta without its range scans: _token_ids checked the text
         return -np.outer(h - 0.5, y / (n_vocab - 1) - 0.5)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
+
+
+def _diagonal_index(n: int, length: int) -> np.ndarray:
+    """Flat indices into an (n, L) grid of its wrapped diagonals, laid out
+    (L, n): entry (l, j) is grid[(j + l) % n, l]."""
+    rows = sliding_window_view(np.arange(n + length - 1) % n * length, n)
+    return rows + np.arange(length)[:, None]
+
+
+def _min_diagonal_costs(diag: np.ndarray, k: int):
+    """The search of ``min_block_costs`` on grids already laid out as their
+    wrapped diagonals, shape (B, L, n)."""
+    n_grids, length, n = diag.shape
+    # s[b, j] is the window of key offset j; row i of the search grid is s
+    # rolled by i
+    s = np.zeros((n_grids, n))
+    for l in range(k):
+        s += diag[:, l]
+    best = np.full(n_grids, np.inf)
+    best_i = np.zeros(n_grids, dtype=np.int64)
+    best_j = np.zeros(n_grids, dtype=np.int64)
+    worst = np.inf  # best.max(): no grid improves unless s.min() is below it
+    for i in range(length - k + 1):
+        if i:
+            s -= diag[:, i - 1]
+            s += diag[:, i - 1 + k]
+        if s.min() < worst:
+            better = s.min(axis=1) < best
+            # the row's first minimum is what the row-major strict-< scan keeps
+            row = np.roll(s[better], i, axis=1)
+            j = row.argmin(axis=1)
+            best[better] = row[np.arange(j.size), j]
+            best_i[better] = i
+            best_j[better] = j
+            worst = best.max()
+    return best, best_i, best_j
+
+
+def min_block_costs(grids: np.ndarray, k: int):
+    """The block-alignment search on each grid of a (B, n keys, L) stack.
+
+    For every text start i and key offset j, D(i, j) = sum_{l<k}
+    grids[b, (j + l) % n, i + l] is slid along the wrapped diagonals: the
+    first window summed in l order from 0, then one subtract and one add per
+    text step. Returns arrays (min cost, text start i, key offset j) of
+    length B; ties take the row-major smallest (i, j).
+    """
+    grids = np.asarray(grids, dtype=np.float64)
+    n_grids, n, length = grids.shape
+    if n < 1:
+        raise ValueError("need at least one key element")
+    if not 1 <= k <= length:
+        raise ValueError("block length k must be in 1..text length")
+    diag = np.take(grids.reshape(n_grids, -1), _diagonal_index(n, length), axis=1)
+    return _min_diagonal_costs(diag, k)
+
+
+def min_block_cost(costs: np.ndarray, k: int):
+    """``min_block_costs`` on one (n keys, L) grid, as (float, int, int)."""
+    value, i, j = min_block_costs(np.asarray(costs)[None], k)
+    return float(value[0]), int(i[0]), int(j[0])
 
 
 @dataclass(frozen=True)
@@ -227,12 +277,20 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
     k = config.block_for(len(y))
     if config.cost != keyseq.kind:
         raise ValueError(f"cost kind {config.cost!r} does not match key kind {keyseq.kind!r}")
-    n_bits = code.max_bits if code is not None else 1
+    n_bits = key_bits(n_vocab, code)
     observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
+    # the null grids of consecutive resamples, each stored as its wrapped
+    # diagonals and searched one chunk at a time
+    index = _diagonal_index(keyseq.n, len(y))
+    per_chunk = max(1, min(config.T, _CHUNK_BYTES // (8 * index.size)))
+    chunk = np.empty((per_chunk,) + index.shape)
     null = np.empty(config.T)
-    for t in range(config.T):
-        resampled = resample_key_sequence(rng, keyseq.kind, keyseq.n, n_vocab, n_bits)
-        null[t] = phi(y, resampled, k, n_vocab, code, config.h_mode).value
+    for start in range(0, config.T, per_chunk):
+        diags = chunk[:config.T - start]
+        for diag in diags:
+            resampled = resample_key_sequence(rng, keyseq.kind, keyseq.n, n_vocab, n_bits)
+            np.take(_cost_matrix(y, resampled, n_vocab, code, config.h_mode), index, out=diag)
+        null[start:start + len(diags)] = _min_diagonal_costs(diags, k)[0]
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,

@@ -12,8 +12,17 @@ import struct
 import numpy as np
 
 from entmark.coding import TokenCode, prefix_mass
-from entmark.detection import eta
 from entmark.lm import validate_distribution
+
+
+def eta(tokens, n_vocab: int) -> np.ndarray:
+    """Map token ids 0..N-1 onto [0, 1] with mean 1/2 under uniform ids."""
+    if n_vocab < 2:
+        raise ValueError("eta needs a vocabulary of at least 2 tokens")
+    ids = np.asarray(tokens, dtype=np.float64)
+    if np.any(ids < 0) or np.any(ids > n_vocab - 1):
+        raise ValueError("token id out of range")
+    return ids / (n_vocab - 1)
 
 
 def brute_min_block_cost(costs, k):
@@ -32,12 +41,12 @@ def brute_min_block_cost(costs, k):
 
 
 def scalar_min_block_cost(costs, k):
-    """Step-by-step transcription of the compiled kernel (_alignment.pyx).
+    """Scalar bit reference for ``detection.min_block_costs``.
 
     The first window is summed in l order, then each text step does one
     subtract and one add per key offset; the scan is row-major with a strict
-    ``<``, so ties keep the smallest (i, j). Both kernels must match this
-    bit for bit, not just within a tolerance.
+    ``<``, so ties keep the smallest (i, j). The NumPy kernel must match this
+    on every grid of a stack bit for bit, not just within a tolerance.
     """
     m = np.ascontiguousarray(costs, dtype=np.float64)
     n, length = m.shape

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from entmark import _alignment_py
+from entmark import detection
 from entmark.coding import build_codes, build_huffman_codes
-from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, eta,
-                               h_hard, h_soft, h_values, min_block_cost, phi,
-                               replay_boundary)
+from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, h_hard,
+                               h_soft, h_values, min_block_cost, phi, replay_boundary)
 from entmark.generation import generate, key_sequence_for
 from entmark.keys import SeedBlock, derive_key_sequence, resample_key_sequence
 from entmark.lm import skewed_lm, uniform_lm
 from entmark.sampling import sample_bs_many
-from oracles import brute_min_block_cost, cost_bs, cost_its, scalar_min_block_cost
+from oracles import brute_min_block_cost, cost_bs, cost_its, eta, scalar_min_block_cost
 
 
 def test_eta():
@@ -169,31 +168,55 @@ def _exact(result):
 
 
 def test_numpy_kernel_matches_scalar_transcription():
-    # runs without the compiled extension: the NumPy kernel must reproduce
-    # the .pyx arithmetic step by step, so either kernel gives the same bytes
+    # every grid of a stack must reproduce the scalar reference's arithmetic
+    # step by step, so batching never changes a byte
     rng = np.random.default_rng(17)
     for case in range(200):
         n = 1 if case % 10 == 0 else int(rng.integers(1, 12))
         length = int(rng.integers(1, 16))
         k = length if case % 7 == 0 else int(rng.integers(1, length + 1))
-        m = rng.standard_normal((n, length))
+        grids = rng.standard_normal((int(rng.integers(1, 6)), n, length))
         if case % 3 == 0:
-            m = np.round(m, 1)  # ties between windows
-        want = _exact(scalar_min_block_cost(m, k))
-        assert _exact(_alignment_py.min_block_cost(m, k)) == want, (n, length, k)
+            grids = np.round(grids, 1)  # ties between windows
+        if case % 4 == 0:
+            grids[0] = 0.0
+        if case % 5 == 0:
+            grids[-1] = -0.0
+        values, starts, offsets = detection.min_block_costs(grids, k)
+        for b, grid in enumerate(grids):
+            want = _exact(scalar_min_block_cost(grid, k))
+            assert _exact((values[b], starts[b], offsets[b])) == want, (case, b, n, length, k)
+            assert _exact(min_block_cost(grid, k)) == want
 
 
-def test_backends_bitwise_equal():
-    compiled = pytest.importorskip("entmark._alignment")
-    rng = np.random.default_rng(7)
-    for _ in range(60):
-        n = int(rng.integers(1, 40))
-        length = int(rng.integers(1, 60))
-        k = int(rng.integers(1, length + 1))
-        m = rng.standard_normal((n, length))
-        a = compiled.min_block_cost(m, k)
-        b = _alignment_py.min_block_cost(m, k)
-        assert _exact(a) == _exact(b)  # exact float equality, same tie-break
+def _per_resample_detect_pvalue(y, keyseq, config, rng, n_vocab, code):
+    """detect_pvalue without batching: one phi call per resample, each
+    drawing its key from ``rng`` in turn."""
+    n_bits = code.max_bits if code is not None else 1
+    k = config.block_for(len(y))
+    observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
+    null = np.empty(config.T)
+    for t in range(config.T):
+        resampled = resample_key_sequence(rng, keyseq.kind, keyseq.n, n_vocab, n_bits)
+        null[t] = phi(y, resampled, k, n_vocab, code, config.h_mode).value
+    return (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1), null
+
+
+@pytest.mark.parametrize("cost", ["its", "bs"])
+@pytest.mark.parametrize("size, T", [(400, 7), (60, 1), (60, 5)])
+def test_null_stream_matches_per_resample_phi(cost, size, T):
+    # 400 x 400 grids fill a chunk with three resamples, so T = 7 spans
+    # three chunks, the last one partial
+    rng = np.random.default_rng(20)
+    code = build_codes(8)
+    y = rng.integers(8, size=size)
+    keyseq = resample_key_sequence(rng, cost, size, 8, code.max_bits)
+    config = DetectionConfig(cost=cost, T=T)
+    want_p, want_null = _per_resample_detect_pvalue(y, keyseq, config,
+                                                    np.random.default_rng(21), 8, code)
+    rep = detect_pvalue(y, keyseq, config, np.random.default_rng(21), 8, code)
+    assert [v.hex() for v in rep.phi_null] == [v.hex() for v in want_null]
+    assert rep.p_value.hex() == want_p.hex()
 
 
 def test_detect_pvalue_formula_and_strong_case():
@@ -313,4 +336,4 @@ def test_fallback_oracle_agreement():
     rng = np.random.default_rng(15)
     m = rng.standard_normal((5, 11))
     for k in (1, 4, 11):
-        assert _alignment_py.min_block_cost(m, k) == pytest.approx(brute_min_block_cost(m, k))
+        assert min_block_cost(m, k) == pytest.approx(brute_min_block_cost(m, k))
