@@ -23,10 +23,13 @@ resampled key sequences. For binary keys, h maps a key element's uniforms to
   The hard map over-weights the cell endpoints and inflates that gap, so it
   is kept for inspection but not used as the cost default.
 
-The search for phi is one NumPy kernel, ``min_block_costs``, over a stack of
-cost grids: ``phi`` runs it on one grid, and ``detect_pvalue`` runs its search
-on the null grids of as many resamples as fit in a fixed byte budget at a
-time, each grid written straight into the kernel's diagonal layout.
+A key's cost against a text depends only on (key row, token), so each key
+is built once as an (n keys, N) cost table and every grid cell is gathered
+from it. The search for phi is one NumPy kernel that slides over wrapped
+diagonals gathered from a key-major stack of tables, one diagonal when the
+slide reaches it: ``min_block_costs`` runs it on a stack of cost grids (``phi``
+on its one grid), and ``detect_pvalue`` draws as many null keys as fit in a
+fixed byte budget in one call and searches all of their tables at once.
 """
 
 import json
@@ -38,18 +41,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .coding import TokenCode
 from .keys import (BsKeySequence, SeedBlock, derive_key_sequence, key_bits,
                    resample_key_sequence)
+from .lm import apply_temperature, apply_top_p
 
 # The one alignment kernel's name, read by the benchmark's environment report.
 DEFAULT_BACKEND = "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
 H_MODES = ("soft", "hard")
-# Bytes of null grids detect_pvalue searches per kernel call. The search makes
-# a few NumPy calls per text step whatever the batch, so batching pays on
-# long texts: on a 2-core Xeon, detect-long ops (396 x 400 grids, 1.27 MB
-# each) took 250-390 ms at 4 MiB (three grids a call) against 540-630 ms at
-# 2 MiB (one grid), and 8 MiB gained nothing beyond noise for 4 MB more peak
-# RSS.
+# Bytes of stacked null cost tables (8 n N per key) that detect_pvalue draws
+# and searches per kernel call. The search makes a few NumPy calls per text
+# step whatever the batch, so batching pays: on a 2-core Xeon, its detection
+# at n = L = 400, N = 8, T = 99 (25 KB tables) took 57-71 ms at 4 MiB (all 99
+# nulls in one search), 77-89 ms at 2 MiB, 88-110 ms at 1 MiB and 160 ms at
+# 256 KiB. At N = 256 (800 KiB tables, about half the op spent drawing and
+# sorting null ranks), budgets from 512 KiB to 8 MiB all took 350-620 ms,
+# and 8 MiB held 16 MB more peak RSS.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -96,54 +102,75 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
     return h_hard(keyseq.u, code)
 
 
-def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
-    """Per-pair cost contributions, shape (n keys, text length)."""
-    y = np.asarray(tokens, dtype=np.int64)
+def _cost_table(keyseq, n_vocab, code, h_mode, count=1) -> np.ndarray:
+    """Every key row's cost against every token, for ``count`` keys stacked
+    in ``keyseq``: shape (n keys, N, count), key b's table at [:, :, b]."""
+    n = keyseq.n // count
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
         # eta without its range scan: ItsKeySequence checked the ranks
-        et = keyseq.ranks[:, y] / (n_vocab - 1)
-        return -((keyseq.u - 0.5)[:, None] * (et - 0.5))
+        ranks = keyseq.ranks.reshape(count, n, n_vocab).transpose(1, 2, 0)
+        table = np.divide(ranks, n_vocab - 1, order="C")
+        table -= 0.5
+        table *= (keyseq.u.reshape(count, n).T - 0.5)[:, None]
+        return np.negative(table, out=table)
     if keyseq.kind == "bs":
         if code is None:
             raise ValueError("binary cost requires a token code")
-        h = h_values(keyseq, code, h_mode)
-        # eta without its range scans: _token_ids checked the text
-        return -np.outer(h - 0.5, y / (n_vocab - 1) - 0.5)
+        h = h_values(keyseq, code, h_mode).reshape(count, n).T
+        eta = np.arange(n_vocab) / (n_vocab - 1) - 0.5
+        table = np.multiply((h - 0.5)[:, None], eta[:, None], order="C")
+        return np.negative(table, out=table)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
 
 
-def _diagonal_index(n: int, length: int) -> np.ndarray:
-    """Flat indices into an (n, L) grid of its wrapped diagonals, laid out
-    (L, n): entry (l, j) is grid[(j + l) % n, l]."""
-    rows = sliding_window_view(np.arange(n + length - 1) % n * length, n)
-    return rows + np.arange(length)[:, None]
+def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
+    """Per-pair cost contributions, shape (n keys, text length)."""
+    y = np.asarray(tokens, dtype=np.int64)  # _token_ids checked the text
+    return _cost_table(keyseq, n_vocab, code, h_mode)[:, y, 0]
 
 
-def _min_diagonal_costs(diag: np.ndarray, k: int):
-    """The search of ``min_block_costs`` on grids already laid out as their
-    wrapped diagonals, shape (B, L, n)."""
-    n_grids, length, n = diag.shape
-    # s[b, j] is the window of key offset j; row i of the search grid is s
+def _diagonal_index(n: int, cols, width: int) -> np.ndarray:
+    """Flat indices of the wrapped diagonals of an (n, width) table read at
+    columns ``cols``, laid out (len(cols), n): entry (l, j) indexes
+    table[(j + l) % n, cols[l]]."""
+    rows = sliding_window_view(np.arange(n + len(cols) - 1) % n * width, n)
+    return rows + cols[:, None]
+
+
+def _min_diagonal_costs(tables: np.ndarray, index: np.ndarray, k: int):
+    """The search of ``min_block_costs`` over B stacked tables, shape
+    (rows, B), whose wrapped diagonal at text position l is
+    tables[index[l]]; each diagonal is gathered when the slide uses it."""
+    length, n = index.shape
+    n_grids = tables.shape[1]
+    # s[j, b] is the window of key offset j; row i of the search grid is s
     # rolled by i
-    s = np.zeros((n_grids, n))
+    s = np.zeros((n, n_grids))
+    diag = np.empty_like(s)
+
+    def gather(l):
+        # the index is in range by construction; "clip" only spares the
+        # buffered copy that the default mode makes of ``out``
+        return tables.take(index[l], 0, diag, "clip")
+
     for l in range(k):
-        s += diag[:, l]
+        s += gather(l)
     best = np.full(n_grids, np.inf)
     best_i = np.zeros(n_grids, dtype=np.int64)
     best_j = np.zeros(n_grids, dtype=np.int64)
     worst = np.inf  # best.max(): no grid improves unless s.min() is below it
     for i in range(length - k + 1):
         if i:
-            s -= diag[:, i - 1]
-            s += diag[:, i - 1 + k]
+            s -= gather(i - 1)
+            s += gather(i - 1 + k)
         if s.min() < worst:
-            better = s.min(axis=1) < best
+            better = s.min(axis=0) < best
             # the row's first minimum is what the row-major strict-< scan keeps
-            row = np.roll(s[better], i, axis=1)
-            j = row.argmin(axis=1)
-            best[better] = row[np.arange(j.size), j]
+            row = np.roll(s[:, better], i, axis=0)
+            j = row.argmin(axis=0)
+            best[better] = row[j, np.arange(j.size)]
             best_i[better] = i
             best_j[better] = j
             worst = best.max()
@@ -165,8 +192,8 @@ def min_block_costs(grids: np.ndarray, k: int):
         raise ValueError("need at least one key element")
     if not 1 <= k <= length:
         raise ValueError("block length k must be in 1..text length")
-    diag = np.take(grids.reshape(n_grids, -1), _diagonal_index(n, length), axis=1)
-    return _min_diagonal_costs(diag, k)
+    tables = grids.reshape(n_grids, n * length).T
+    return _min_diagonal_costs(tables, _diagonal_index(n, np.arange(length), length), k)
 
 
 def min_block_cost(costs: np.ndarray, k: int):
@@ -279,18 +306,18 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
         raise ValueError(f"cost kind {config.cost!r} does not match key kind {keyseq.kind!r}")
     n_bits = key_bits(n_vocab, code)
     observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
-    # the null grids of consecutive resamples, each stored as its wrapped
-    # diagonals and searched one chunk at a time
-    index = _diagonal_index(keyseq.n, len(y))
-    per_chunk = max(1, min(config.T, _CHUNK_BYTES // (8 * index.size)))
-    chunk = np.empty((per_chunk,) + index.shape)
+    # the nulls of consecutive resamples, drawn and searched one chunk of
+    # stacked cost tables at a time
+    n = keyseq.n
+    index = _diagonal_index(n, y, n_vocab)
+    per_chunk = max(1, min(config.T, _CHUNK_BYTES // (8 * n * n_vocab)))
     null = np.empty(config.T)
     for start in range(0, config.T, per_chunk):
-        diags = chunk[:config.T - start]
-        for diag in diags:
-            resampled = resample_key_sequence(rng, keyseq.kind, keyseq.n, n_vocab, n_bits)
-            np.take(_cost_matrix(y, resampled, n_vocab, code, config.h_mode), index, out=diag)
-        null[start:start + len(diags)] = _min_diagonal_costs(diags, k)[0]
+        count = min(per_chunk, config.T - start)
+        resampled = resample_key_sequence(rng, keyseq.kind, n, n_vocab, n_bits, count)
+        tables = _cost_table(resampled, n_vocab, code, config.h_mode, count)
+        null[start:start + count] = _min_diagonal_costs(
+            tables.reshape(n * n_vocab, count), index, k)[0]
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,
@@ -334,19 +361,20 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
     )
 
 
-def replay_boundary(lm, tokens, lam: float, prompt=()) -> int | None:
-    """Where the entropy gate would close along ``tokens`` under ``lm``.
-
-    Replays the raw model rows; if generation modified them (top-p,
-    temperature), the replayed boundary is an approximation of the recorded
-    one.
-    """
+def replay_boundary(lm, tokens, lam: float, prompt=(), top_p: float | None = None,
+                    temperature: float | None = None) -> int | None:
+    """Where the entropy gate closed along ``tokens`` under ``lm``, each row
+    modified as ``generate`` modifies it: temperature, then top-p."""
     if lam <= 0:
         return 0
     acc = 0.0
     ctx = list(prompt)
     for i, tok in enumerate(tokens):
         probs = lm.context_distribution(ctx)
+        if temperature is not None:
+            probs = apply_temperature(probs, temperature)
+        if top_p is not None:
+            probs = apply_top_p(probs, top_p)
         acc += 1.0 - float(probs[int(tok)])
         ctx.append(int(tok))
         if acc >= lam:

@@ -287,12 +287,20 @@ def derive_key_sequence(seed: SeedBlock, kind: str, n: int, n_vocab: int, n_bits
     raise ValueError(f"unknown key kind {kind!r}")
 
 
-def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: int, n_bits: int):
-    """Fresh iid key sequence from the harness RNG (the permutation-test null)."""
+def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: int, n_bits: int,
+                          count: int = 1):
+    """``count`` fresh iid key sequences from the harness RNG (the
+    permutation-test null), stacked key after key into one sequence of
+    count * n rows.
+
+    One call draws exactly the doubles ``count`` successive calls would:
+    per its key, n uniforms and then n * N rank draws; per bs key, n rows of
+    n_bits uniforms.
+    """
     if kind == "its":
-        u = rng.random(n)
-        ranks = np.argsort(rng.random((n, n_vocab)), axis=1).astype(np.int64)
-        return ItsKeySequence(u, ranks)
+        draws = rng.random((count, n * (n_vocab + 1)))
+        ranks = np.argsort(draws[:, n:].reshape(count, n, n_vocab), axis=2)
+        return ItsKeySequence(draws[:, :n].ravel(), ranks.reshape(count * n, n_vocab))
     if kind == "bs":
-        return BsKeySequence(rng.random((n, n_bits)))
+        return BsKeySequence(rng.random((count * n, n_bits)))
     raise ValueError(f"unknown key kind {kind!r}")

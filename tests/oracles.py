@@ -254,6 +254,27 @@ def scalar_h_soft(u, code) -> np.ndarray:
     return np.array(out)
 
 
+def resample_its_two_calls(rng, n: int, n_vocab: int):
+    """An its null key drawn in two calls: n uniforms, then n rows of N
+    draws argsorted into rank maps. Returns (u, ranks)."""
+    u = rng.random(n)
+    ranks = np.argsort(rng.random((n, n_vocab)), axis=1)
+    return u, ranks
+
+
+def grid_costs(tokens, keyseq, n_vocab: int, code=None, h_mode: str = "soft") -> np.ndarray:
+    """The (n keys, L) cost grid built directly: gather each key row's rank
+    of every text token (its) or take each row's h value (bs, soft only for
+    fixed codes), divide by N - 1 and take the centered product."""
+    y = np.asarray(tokens, dtype=np.int64)
+    if keyseq.kind == "its":
+        et = keyseq.ranks[:, y] / (n_vocab - 1)
+        return -((keyseq.u - 0.5)[:, None] * (et - 0.5))
+    soft = h_mode == "soft" and code.mode == "fixed"
+    h = scalar_h_soft(keyseq.u, code) if soft else scalar_h_hard(keyseq.u, code)
+    return -np.outer(h - 0.5, y / (n_vocab - 1) - 0.5)
+
+
 def pairwise_auc(pos, neg):
     """AUC by direct comparison of every (positive, negative) pair."""
     wins = 0.0

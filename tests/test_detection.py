@@ -7,9 +7,10 @@ from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan,
                                h_soft, h_values, min_block_cost, phi, replay_boundary)
 from entmark.generation import generate, key_sequence_for
 from entmark.keys import SeedBlock, derive_key_sequence, resample_key_sequence
-from entmark.lm import skewed_lm, uniform_lm
+from entmark.lm import peaked_lm, skewed_lm, uniform_lm
 from entmark.sampling import sample_bs_many
-from oracles import brute_min_block_cost, cost_bs, cost_its, eta, scalar_min_block_cost
+from oracles import (brute_min_block_cost, cost_bs, cost_its, eta, grid_costs,
+                     scalar_min_block_cost)
 
 
 def test_eta():
@@ -95,6 +96,29 @@ def test_cost_bs_examples():
     assert cost_bs([2], [0.5], 4) == 0.0
     assert cost_bs([1], [0.9], 3) == 0.0  # middle token of odd N is centered
     assert cost_bs([], [], 4) == 0.0
+
+
+@pytest.mark.parametrize("kind, n_vocab, coding, h_mode", [
+    ("its", 2, None, "soft"), ("its", 8, None, "soft"), ("its", 256, None, "soft"),
+    ("bs", 8, "fixed", "soft"), ("bs", 8, "huffman", "hard"), ("bs", 8, "huffman", "soft"),
+])
+def test_cost_matrix_matches_direct_grid(kind, n_vocab, coding, h_mode):
+    # gathering the grid from per-key tables must give the bytes of the
+    # direct gather-divide-product, on texts that repeat some tokens and
+    # leave others out
+    rng = np.random.default_rng(22)
+    code = None
+    if coding == "fixed":
+        code = build_codes(n_vocab)
+    elif coding == "huffman":
+        code = build_huffman_codes(rng.integers(1, 20, size=n_vocab))
+    for n, length in ((1, 5), (7, 40), (40, 7)):
+        used = rng.choice(n_vocab, size=max(1, n_vocab // 2), replace=False)
+        y = rng.choice(used, size=length)
+        ks = resample_key_sequence(rng, kind, n, n_vocab, code.max_bits if code else 8)
+        got = detection._cost_matrix(y, ks, n_vocab, code, h_mode)
+        assert got.shape == (n, length)
+        assert got.tobytes() == grid_costs(y, ks, n_vocab, code, h_mode).tobytes()
 
 
 def test_phi_single_block_reduces_to_cost():
@@ -202,21 +226,47 @@ def _per_resample_detect_pvalue(y, keyseq, config, rng, n_vocab, code):
     return (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1), null
 
 
+def _check_null_stream(y, keyseq, config, n_vocab, code, monkeypatch):
+    """detect_pvalue's nulls and p-value against the per-resample loop, hex
+    for hex; returns the number of keys each chunk drew."""
+    counts = []
+
+    def resample(rng, kind, n, n_vocab, n_bits, count=1):
+        counts.append(count)
+        return resample_key_sequence(rng, kind, n, n_vocab, n_bits, count)
+
+    monkeypatch.setattr(detection, "resample_key_sequence", resample)
+    want_p, want_null = _per_resample_detect_pvalue(y, keyseq, config,
+                                                    np.random.default_rng(21), n_vocab, code)
+    rep = detect_pvalue(y, keyseq, config, np.random.default_rng(21), n_vocab, code)
+    assert [v.hex() for v in rep.phi_null] == [v.hex() for v in want_null]
+    assert rep.p_value.hex() == want_p.hex()
+    return counts
+
+
 @pytest.mark.parametrize("cost", ["its", "bs"])
 @pytest.mark.parametrize("size, T", [(400, 7), (60, 1), (60, 5)])
-def test_null_stream_matches_per_resample_phi(cost, size, T):
-    # 400 x 400 grids fill a chunk with three resamples, so T = 7 spans
-    # three chunks, the last one partial
+def test_null_stream_matches_per_resample_phi(cost, size, T, monkeypatch):
     rng = np.random.default_rng(20)
     code = build_codes(8)
     y = rng.integers(8, size=size)
     keyseq = resample_key_sequence(rng, cost, size, 8, code.max_bits)
     config = DetectionConfig(cost=cost, T=T)
-    want_p, want_null = _per_resample_detect_pvalue(y, keyseq, config,
-                                                    np.random.default_rng(21), 8, code)
-    rep = detect_pvalue(y, keyseq, config, np.random.default_rng(21), 8, code)
-    assert [v.hex() for v in rep.phi_null] == [v.hex() for v in want_null]
-    assert rep.p_value.hex() == want_p.hex()
+    if size == 400:
+        # a budget of three 400 x 8 tables: T = 7 runs as chunks of 3, 3, 1
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * 8 * size * 8)
+    chunks = [3, 3, 1] if size == 400 else [T]
+    assert _check_null_stream(y, keyseq, config, 8, code, monkeypatch) == chunks
+
+
+def test_null_stream_splits_wide_vocabulary(monkeypatch):
+    # 400 x 256 tables take 800 KiB each, so the real budget splits T = 7
+    rng = np.random.default_rng(23)
+    y = rng.integers(256, size=400)
+    keyseq = resample_key_sequence(rng, "its", 400, 256, 8)
+    counts = _check_null_stream(y, keyseq, DetectionConfig(cost="its", T=7), 256, None,
+                                monkeypatch)
+    assert len(counts) > 1 and sum(counts) == 7
 
 
 def test_detect_pvalue_formula_and_strong_case():
@@ -330,6 +380,23 @@ def test_replay_boundary_matches_generation():
         res = generate(lm, [], lam, 30, "its", rng.bytes(8), rng)
         assert replay_boundary(lm, res.tokens, lam) == res.boundary
     assert replay_boundary(lm, [0, 1], 99.0) is None
+
+
+@pytest.mark.parametrize("lm, flags", [
+    (peaked_lm(8, 0.4), {"top_p": 0.6}),
+    (skewed_lm(16), {"temperature": 0.5}),
+    (skewed_lm(16), {"top_p": 0.6, "temperature": 0.5}),
+])
+def test_replay_boundary_follows_modified_rows(lm, flags):
+    # the gate closes on the entropy of the rows generation sampled from,
+    # after temperature and top-p, not on the raw model rows
+    rng = np.random.default_rng(24)
+    raw_differs = 0
+    for _ in range(20):
+        res = generate(lm, [], 8.0, 30, "its", rng.bytes(8), rng, **flags)
+        assert replay_boundary(lm, res.tokens, 8.0, **flags) == res.boundary
+        raw_differs += replay_boundary(lm, res.tokens, 8.0) != res.boundary
+    assert raw_differs  # the raw rows would replay a different gate
 
 
 def test_fallback_oracle_agreement():

@@ -9,7 +9,7 @@ from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, bs_el
                           chacha20_block_bytes, chacha20_blocks, derive_bs_sequence,
                           derive_its_sequence, derive_key_sequence, derive_prf_key,
                           its_element, resample_key_sequence, uniform_block, uniform_stream)
-from oracles import scalar_chacha20_block
+from oracles import resample_its_two_calls, scalar_chacha20_block
 
 KEY = bytes(range(32))
 
@@ -171,6 +171,29 @@ def test_resample_key_sequence():
     assert all(sorted(r.tolist()) == [0, 1, 2, 3] for r in its.ranks)
     with pytest.raises(ValueError):
         resample_key_sequence(rng, "gumbel", 5, 4, 2)
+
+
+@pytest.mark.parametrize("kind, n_vocab", [("its", 2), ("its", 8), ("its", 256), ("bs", 8)])
+def test_resample_batch_equals_successive_draws(kind, n_vocab):
+    # a chunk of null keys drawn in one call must be the keys that successive
+    # one-key calls draw, and leave the generator where they leave it
+    n, count, n_bits = 13, 4, 3
+    batch_rng, step_rng = np.random.default_rng(30), np.random.default_rng(30)
+    batch = resample_key_sequence(batch_rng, kind, n, n_vocab, n_bits, count=count)
+    keys = [resample_key_sequence(step_rng, kind, n, n_vocab, n_bits) for _ in range(count)]
+    assert batch.n == count * n
+    assert batch.u.tobytes() == np.concatenate([key.u for key in keys]).tobytes()
+    if kind == "its":
+        assert np.array_equal(batch.ranks, np.concatenate([key.ranks for key in keys]))
+    assert batch_rng.random() == step_rng.random()
+
+
+@pytest.mark.parametrize("n_vocab", [2, 8, 256])
+def test_resample_its_draws_two_call_stream(n_vocab):
+    key = resample_key_sequence(np.random.default_rng(31), "its", 9, n_vocab, 8)
+    u, ranks = resample_its_two_calls(np.random.default_rng(31), 9, n_vocab)
+    assert key.u.tobytes() == u.tobytes()
+    assert np.array_equal(key.ranks, ranks)
 
 
 def test_derive_key_sequence_kinds():
