@@ -23,13 +23,14 @@ resampled key sequences. For binary keys, h maps a key element's uniforms to
   The hard map over-weights the cell endpoints and inflates that gap, so it
   is kept for inspection but not used as the cost default.
 
-A key's cost against a text depends only on (key row, token), so each key
-is built once as an (n keys, N) cost table and every grid cell is gathered
-from it. The search for phi is one NumPy kernel that slides over wrapped
-diagonals gathered from a key-major stack of tables, one diagonal when the
-slide reaches it: ``min_block_costs`` runs it on a stack of cost grids (``phi``
-on its one grid), and ``detect_pvalue`` draws as many null keys as fit in a
-fixed byte budget in one call and searches all of their tables at once.
+A key's cost against a text depends only on (key row, token), so a null key
+is built as an (n keys, U) cost table against the text's U distinct tokens
+(U <= min(N, L)), from which each text position reads its token's column.
+The search for phi is one NumPy kernel that slides over wrapped diagonals
+gathered from a key-major stack of tables, one diagonal when the slide
+reaches it: ``min_block_costs`` runs it on a stack of cost grids (``phi`` on
+its one grid), and ``detect_pvalue`` draws null keys a batch per call and
+searches as many of their tables at once as fit in a fixed byte budget.
 """
 
 import json
@@ -48,15 +49,19 @@ DEFAULT_BACKEND = "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
 H_MODES = ("soft", "hard")
-# Bytes of stacked null cost tables (8 n N per key) that detect_pvalue draws
-# and searches per kernel call. The search makes a few NumPy calls per text
-# step whatever the batch, so batching pays: on a 2-core Xeon, its detection
-# at n = L = 400, N = 8, T = 99 (25 KB tables) took 57-71 ms at 4 MiB (all 99
-# nulls in one search), 77-89 ms at 2 MiB, 88-110 ms at 1 MiB and 160 ms at
-# 256 KiB. At N = 256 (800 KiB tables, about half the op spent drawing and
-# sorting null ranks), budgets from 512 KiB to 8 MiB all took 350-620 ms,
-# and 8 MiB held 16 MB more peak RSS.
+# Byte budgets of detect_pvalue's null batches. One search takes as many cost
+# tables as fit in _CHUNK_BYTES (8 n U bytes a key, U the text's distinct
+# tokens); it makes a few NumPy calls per text step whatever the batch, so
+# batching pays: on a 2-core Xeon, its detection at n = L = 400, N = 8,
+# T = 99 (25 KB tables) took 57-71 ms at 4 MiB (all 99 nulls in one search),
+# 77-89 ms at 2 MiB, 88-110 ms at 1 MiB and 160 ms at 256 KiB. One draw takes
+# as many keys as fit in _DRAW_BYTES (its: 8 n N bytes of ranks a key; bs:
+# 8 n n_bits of uniforms), which keeps a wide its draw cache-sized: at
+# n = L = 400, N = 256, drawing one key at a time took 350-516 ms per
+# detection against 486-555 ms for five, and at N = 8 budgets from 128 KiB
+# to 4 MiB all took 67-79 ms.
 _CHUNK_BYTES = 4 << 20
+_DRAW_BYTES = 256 << 10
 
 
 def _descend(bits, code: TokenCode) -> np.ndarray:
@@ -102,15 +107,16 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
     return h_hard(keyseq.u, code)
 
 
-def _cost_table(keyseq, n_vocab, code, h_mode, count=1) -> np.ndarray:
-    """Every key row's cost against every token, for ``count`` keys stacked
-    in ``keyseq``: shape (n keys, N, count), key b's table at [:, :, b]."""
+def _cost_table(keyseq, n_vocab, code, h_mode, tokens, count=1) -> np.ndarray:
+    """Every key row's cost against each token id in ``tokens``, for
+    ``count`` keys stacked in ``keyseq``: shape (n keys, len(tokens), count),
+    key b's table at [:, :, b]."""
     n = keyseq.n // count
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
         # eta without its range scan: ItsKeySequence checked the ranks
-        ranks = keyseq.ranks.reshape(count, n, n_vocab).transpose(1, 2, 0)
+        ranks = keyseq.ranks.reshape(count, n, n_vocab)[:, :, tokens].transpose(1, 2, 0)
         table = np.divide(ranks, n_vocab - 1, order="C")
         table -= 0.5
         table *= (keyseq.u.reshape(count, n).T - 0.5)[:, None]
@@ -119,7 +125,7 @@ def _cost_table(keyseq, n_vocab, code, h_mode, count=1) -> np.ndarray:
         if code is None:
             raise ValueError("binary cost requires a token code")
         h = h_values(keyseq, code, h_mode).reshape(count, n).T
-        eta = np.arange(n_vocab) / (n_vocab - 1) - 0.5
+        eta = tokens / (n_vocab - 1) - 0.5
         table = np.multiply((h - 0.5)[:, None], eta[:, None], order="C")
         return np.negative(table, out=table)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
@@ -128,7 +134,7 @@ def _cost_table(keyseq, n_vocab, code, h_mode, count=1) -> np.ndarray:
 def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
     """Per-pair cost contributions, shape (n keys, text length)."""
     y = np.asarray(tokens, dtype=np.int64)  # _token_ids checked the text
-    return _cost_table(keyseq, n_vocab, code, h_mode)[:, y, 0]
+    return _cost_table(keyseq, n_vocab, code, h_mode, y)[:, :, 0]
 
 
 def _diagonal_index(n: int, cols, width: int) -> np.ndarray:
@@ -306,18 +312,27 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
         raise ValueError(f"cost kind {config.cost!r} does not match key kind {keyseq.kind!r}")
     n_bits = key_bits(n_vocab, code)
     observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
-    # the nulls of consecutive resamples, drawn and searched one chunk of
-    # stacked cost tables at a time
+    # the nulls of consecutive resamples: keys drawn a batch at a time, and
+    # their cost tables against the text's distinct tokens searched a chunk
+    # at a time
     n = keyseq.n
-    index = _diagonal_index(n, y, n_vocab)
-    per_chunk = max(1, min(config.T, _CHUNK_BYTES // (8 * n * n_vocab)))
+    tokens, cols = np.unique(y, return_inverse=True)
+    index = _diagonal_index(n, cols, tokens.size)
+    key_width = n_vocab if keyseq.kind == "its" else n_bits  # ranks or uniforms a row
+    per_draw = max(1, _DRAW_BYTES // (8 * n * key_width))
+    per_search = max(1, _CHUNK_BYTES // (8 * n * tokens.size))
     null = np.empty(config.T)
-    for start in range(0, config.T, per_chunk):
-        count = min(per_chunk, config.T - start)
-        resampled = resample_key_sequence(rng, keyseq.kind, n, n_vocab, n_bits, count)
-        tables = _cost_table(resampled, n_vocab, code, config.h_mode, count)
-        null[start:start + count] = _min_diagonal_costs(
-            tables.reshape(n * n_vocab, count), index, k)[0]
+    for start in range(0, config.T, per_search):
+        stop = min(start + per_search, config.T)
+        tables = np.empty((n, tokens.size, stop - start))
+        for i in range(start, stop, per_draw):
+            count = min(per_draw, stop - i)
+            resampled = resample_key_sequence(rng, keyseq.kind, n, n_vocab, n_bits, count)
+            tables[:, :, i - start:i - start + count] = _cost_table(
+                resampled, n_vocab, code, config.h_mode, tokens, count)
+            del resampled  # free these ranks before the next draw allocates its own
+        null[start:stop] = _min_diagonal_costs(
+            tables.reshape(n * tokens.size, stop - start), index, k)[0]
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,

@@ -103,7 +103,7 @@ def test_cost_bs_examples():
     ("bs", 8, "fixed", "soft"), ("bs", 8, "huffman", "hard"), ("bs", 8, "huffman", "soft"),
 ])
 def test_cost_matrix_matches_direct_grid(kind, n_vocab, coding, h_mode):
-    # gathering the grid from per-key tables must give the bytes of the
+    # a key's table read at the text's tokens must give the bytes of the
     # direct gather-divide-product, on texts that repeat some tokens and
     # leave others out
     rng = np.random.default_rng(22)
@@ -228,20 +228,29 @@ def _per_resample_detect_pvalue(y, keyseq, config, rng, n_vocab, code):
 
 def _check_null_stream(y, keyseq, config, n_vocab, code, monkeypatch):
     """detect_pvalue's nulls and p-value against the per-resample loop, hex
-    for hex; returns the number of keys each chunk drew."""
-    counts = []
+    for hex; returns the number of keys each draw drew and the number of
+    tables each search searched."""
+    draws, searches = [], []
+    search = detection._min_diagonal_costs
 
     def resample(rng, kind, n, n_vocab, n_bits, count=1):
-        counts.append(count)
+        draws.append(count)
         return resample_key_sequence(rng, kind, n, n_vocab, n_bits, count)
 
+    def spy(tables, index, k):
+        searches.append(tables.shape[1])
+        return search(tables, index, k)
+
     monkeypatch.setattr(detection, "resample_key_sequence", resample)
+    monkeypatch.setattr(detection, "_min_diagonal_costs", spy)
     want_p, want_null = _per_resample_detect_pvalue(y, keyseq, config,
                                                     np.random.default_rng(21), n_vocab, code)
+    draws.clear()
+    searches.clear()
     rep = detect_pvalue(y, keyseq, config, np.random.default_rng(21), n_vocab, code)
     assert [v.hex() for v in rep.phi_null] == [v.hex() for v in want_null]
     assert rep.p_value.hex() == want_p.hex()
-    return counts
+    return draws, searches[1:]  # searches[0] is phi's under the supplied key
 
 
 @pytest.mark.parametrize("cost", ["its", "bs"])
@@ -256,17 +265,25 @@ def test_null_stream_matches_per_resample_phi(cost, size, T, monkeypatch):
         # a budget of three 400 x 8 tables: T = 7 runs as chunks of 3, 3, 1
         monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * 8 * size * 8)
     chunks = [3, 3, 1] if size == 400 else [T]
-    assert _check_null_stream(y, keyseq, config, 8, code, monkeypatch) == chunks
+    assert _check_null_stream(y, keyseq, config, 8, code, monkeypatch) == (chunks, chunks)
 
 
-def test_null_stream_splits_wide_vocabulary(monkeypatch):
-    # 400 x 256 tables take 800 KiB each, so the real budget splits T = 7
+@pytest.mark.parametrize("cost, size, T, chunks", [
+    # a 400 x 256 its key's ranks take 800 KiB, past the draw budget, so the
+    # real budgets draw one key at a time, and a search takes as many tables
+    # against the text's ~200 distinct tokens as fit in its budget
+    ("its", 400, 7, ([1] * 7, [6, 1])),
+    # bs over 60 tokens: the tables hold only the text's tokens, so every
+    # null fits one draw and one search
+    ("bs", 60, 9, ([9], [9])),
+])
+def test_null_stream_wide_vocabulary(cost, size, T, chunks, monkeypatch):
     rng = np.random.default_rng(23)
-    y = rng.integers(256, size=400)
-    keyseq = resample_key_sequence(rng, "its", 400, 256, 8)
-    counts = _check_null_stream(y, keyseq, DetectionConfig(cost="its", T=7), 256, None,
-                                monkeypatch)
-    assert len(counts) > 1 and sum(counts) == 7
+    code = build_codes(256) if cost == "bs" else None
+    y = rng.integers(256, size=size)
+    keyseq = resample_key_sequence(rng, cost, size, 256, code.max_bits if code else 8)
+    assert _check_null_stream(y, keyseq, DetectionConfig(cost=cost, T=T), 256, code,
+                              monkeypatch) == chunks
 
 
 def test_detect_pvalue_formula_and_strong_case():
