@@ -8,14 +8,13 @@ alignment among freshly resampled keys to get a p-value.
 """
 
 from .attacks import AttackSpec, apply_attacks, attack, parse_attack_spec
-from .coding import TokenCode, bit_conditional, build_codes, build_huffman_codes, codes_for_lm
+from .coding import TokenCode, build_codes, build_huffman_codes, codes_for_lm
 from .detection import (DetectionConfig, DetectionReport, PhiResult, detect_pvalue,
                         detect_seed_scan, h_hard, h_soft, min_block_cost, phi,
                         replay_boundary)
 from .generation import GenerationResult, generate, generate_baseline, key_sequence_for, watermark_entropy
 from .keys import (BsKeyElement, BsKeySequence, ItsKeyElement, ItsKeySequence, PRF_ID,
-                   SeedBlock, bs_element, derive_key_sequence, derive_prf_key,
-                   its_element, resample_key_sequence, uniform_stream)
+                   SeedBlock, derive_key_sequence, derive_prf_key, resample_key_sequence)
 from .lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, build_vocabulary,
                  load_lm, peaked_lm, save_lm, skewed_lm, tokenize, train_from_text,
                  train_markov, uniform_lm)

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lm import validate_distribution
-
 CODING_MODES = ("fixed", "huffman")
 
 
@@ -152,16 +150,3 @@ def prefix_mass(probs: np.ndarray, code: TokenCode, node: int) -> float:
     """Total probability of the tokens beneath code-tree node ``node``."""
     return float(probs[code.members[node]].sum())
 
-
-def bit_conditional(probs: np.ndarray, code: TokenCode, prefix: str) -> float:
-    """P(next bit = 1 | code starts with prefix) under ``probs``."""
-    p = validate_distribution(probs)
-    if p.size != code.n_tokens:
-        raise ValueError("distribution size does not match code")
-    v = code.node(prefix)
-    if code.leaf[v] >= 0:
-        raise ValueError(f"prefix {prefix!r} is already a full code word")
-    node = prefix_mass(p, code, v)
-    if node <= 0.0:
-        raise ValueError(f"unreachable prefix {prefix!r}")
-    return prefix_mass(p, code, code.child[v, 1]) / node

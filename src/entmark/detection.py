@@ -28,9 +28,9 @@ is built as an (n keys, U) cost table against the text's U distinct tokens
 (U <= min(N, L)), from which each text position reads its token's column.
 The search for phi is one NumPy kernel that slides over wrapped diagonals
 gathered from a key-major stack of tables, one diagonal when the slide
-reaches it: ``min_block_costs`` runs it on a stack of cost grids (``phi`` on
-its one grid), and ``detect_pvalue`` draws null keys a batch per call and
-searches as many of their tables at once as fit in a fixed byte budget.
+reaches it: ``min_block_cost`` runs it on one cost grid (``phi``'s), and
+``detect_pvalue`` draws null keys a batch per call and searches as many of
+their tables at once as fit in a fixed byte budget.
 """
 
 import json
@@ -40,6 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coding import TokenCode
+from .generation import watermark_entropy
 from .keys import (BsKeySequence, SeedBlock, derive_key_sequence, key_bits,
                    resample_key_sequence)
 from .lm import apply_temperature, apply_top_p
@@ -146,9 +147,10 @@ def _diagonal_index(n: int, cols, width: int) -> np.ndarray:
 
 
 def _min_diagonal_costs(tables: np.ndarray, index: np.ndarray, k: int):
-    """The search of ``min_block_costs`` over B stacked tables, shape
+    """The search of ``min_block_cost`` over B stacked tables, shape
     (rows, B), whose wrapped diagonal at text position l is
-    tables[index[l]]; each diagonal is gathered when the slide uses it."""
+    tables[index[l]]; each diagonal is gathered when the slide uses it.
+    Returns arrays (min cost, text start i, key offset j) of length B."""
     length, n = index.shape
     n_grids = tables.shape[1]
     # s[j, b] is the window of key offset j; row i of the search grid is s
@@ -183,28 +185,23 @@ def _min_diagonal_costs(tables: np.ndarray, index: np.ndarray, k: int):
     return best, best_i, best_j
 
 
-def min_block_costs(grids: np.ndarray, k: int):
-    """The block-alignment search on each grid of a (B, n keys, L) stack.
+def min_block_cost(costs: np.ndarray, k: int):
+    """The block-alignment search on one (n keys, L) cost grid.
 
     For every text start i and key offset j, D(i, j) = sum_{l<k}
-    grids[b, (j + l) % n, i + l] is slid along the wrapped diagonals: the
-    first window summed in l order from 0, then one subtract and one add per
-    text step. Returns arrays (min cost, text start i, key offset j) of
-    length B; ties take the row-major smallest (i, j).
+    costs[(j + l) % n, i + l] is slid along the wrapped diagonals: the first
+    window summed in l order from 0, then one subtract and one add per text
+    step. Returns (min cost, text start i, key offset j); ties take the
+    row-major smallest (i, j).
     """
-    grids = np.asarray(grids, dtype=np.float64)
-    n_grids, n, length = grids.shape
+    costs = np.asarray(costs, dtype=np.float64)
+    n, length = costs.shape
     if n < 1:
         raise ValueError("need at least one key element")
     if not 1 <= k <= length:
         raise ValueError("block length k must be in 1..text length")
-    tables = grids.reshape(n_grids, n * length).T
-    return _min_diagonal_costs(tables, _diagonal_index(n, np.arange(length), length), k)
-
-
-def min_block_cost(costs: np.ndarray, k: int):
-    """``min_block_costs`` on one (n keys, L) grid, as (float, int, int)."""
-    value, i, j = min_block_costs(np.asarray(costs)[None], k)
+    index = _diagonal_index(n, np.arange(length), length)
+    value, i, j = _min_diagonal_costs(costs.reshape(n * length, 1), index, k)
     return float(value[0]), int(i[0]), int(j[0])
 
 
@@ -224,8 +221,7 @@ def phi(tokens, keyseq, k: int, n_vocab: int, code: TokenCode | None = None,
     if len(y) < k:
         raise ValueError("text shorter than block")
     costs = _cost_matrix(y, keyseq, n_vocab, code, h_mode)
-    value, i, j = min_block_cost(costs, k)
-    return PhiResult(value, int(i), int(j))
+    return PhiResult(*min_block_cost(costs, k))
 
 
 @dataclass
@@ -390,7 +386,7 @@ def replay_boundary(lm, tokens, lam: float, prompt=(), top_p: float | None = Non
             probs = apply_temperature(probs, temperature)
         if top_p is not None:
             probs = apply_top_p(probs, top_p)
-        acc += 1.0 - float(probs[int(tok)])
+        acc += watermark_entropy(probs, int(tok))
         ctx.append(int(tok))
         if acc >= lam:
             return i + 1

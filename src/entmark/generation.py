@@ -160,7 +160,7 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
         raise ValueError(f"unknown sampler kind {sampler!r}")
     if m < 1:
         raise ValueError("generation budget m must be >= 1")
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise ValueError("entropy threshold must be >= 0")
     prompt = [int(t) for t in prompt]
     lm.vocab.check_ids(prompt)

@@ -119,12 +119,6 @@ def chacha20_blocks(key: bytes, counters, nonce: bytes = b"\x00" * 12) -> np.nda
     return out.T
 
 
-def chacha20_block_bytes(key: bytes, counter: int, nonce: bytes = b"\x00" * 12) -> bytes:
-    """One 64-byte keystream block, little-endian serialized."""
-    words = chacha20_blocks(key, [counter], nonce)[0]
-    return words.astype("<u4").tobytes()
-
-
 def uniform_block(key: bytes, indices) -> np.ndarray:
     """Uniforms in [0, 1) for an array of 64-bit stream indices.
 
@@ -147,19 +141,15 @@ def uniform_block(key: bytes, indices) -> np.ndarray:
     return out
 
 
-def uniform_stream(key: bytes, index: int) -> float:
-    """Single uniform in [0, 1) at a stream index; stateless, reproducible."""
-    return float(uniform_block(key, [index])[0])
-
-
 def key_bits(n_vocab: int, code=None) -> int:
     """Binary uniforms per key position (L in the counter layout): the
     code's longest word, else the fixed-length code size."""
     return code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
 
 
-def _stride(n_vocab: int, n_bits: int) -> int:
-    return n_vocab + n_bits + 1
+def _first_slots(start: int, n: int, n_vocab: int, n_bits: int) -> np.ndarray:
+    """Stream index of slot +0 of positions start .. start+n-1."""
+    return np.arange(start, start + n, dtype=np.uint64) * np.uint64(n_vocab + n_bits + 1)
 
 
 @dataclass(frozen=True)
@@ -247,12 +237,7 @@ def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None
     """Inverse-transform key elements for positions start .. start+n-1."""
     if n_bits is None:
         n_bits = key_bits(n_vocab)
-    stride = _stride(n_vocab, n_bits)
-    if n == 0:
-        return ItsKeySequence(np.empty(0), np.empty((0, n_vocab), dtype=np.int64))
-    base = (np.arange(start, start + n, dtype=np.uint64)) * np.uint64(stride)
-    if n_vocab == 1:
-        return ItsKeySequence(uniform_block(prf_key, base), np.zeros((n, 1), dtype=np.int64))
+    base = _first_slots(start, n, n_vocab, n_bits)
     idx = base[:, None] + np.arange(n_vocab, dtype=np.uint64)[None, :]
     vals = uniform_block(prf_key, idx)
     return ItsKeySequence(vals[:, 0], _fisher_yates(vals[:, 1:]))
@@ -261,20 +246,9 @@ def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None
 def derive_bs_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int,
                        start: int = 0) -> BsKeySequence:
     """Binary-sampling key elements for positions start .. start+n-1."""
-    stride = _stride(n_vocab, n_bits)
-    if n == 0:
-        return BsKeySequence(np.empty((0, n_bits)))
-    base = (np.arange(start, start + n, dtype=np.uint64)) * np.uint64(stride)
+    base = _first_slots(start, n, n_vocab, n_bits)
     idx = base[:, None] + np.uint64(n_vocab) + np.arange(n_bits, dtype=np.uint64)[None, :]
     return BsKeySequence(uniform_block(prf_key, idx))
-
-
-def its_element(prf_key: bytes, position: int, n_vocab: int, n_bits: int | None = None) -> ItsKeyElement:
-    return derive_its_sequence(prf_key, 1, n_vocab, n_bits, start=position).element(0)
-
-
-def bs_element(prf_key: bytes, position: int, n_bits: int, n_vocab: int) -> BsKeyElement:
-    return derive_bs_sequence(prf_key, 1, n_vocab, n_bits, start=position).element(0)
 
 
 def derive_key_sequence(seed: SeedBlock, kind: str, n: int, n_vocab: int, n_bits: int):

@@ -24,7 +24,7 @@ def validate_distribution(probs: np.ndarray) -> np.ndarray:
         raise ValueError("distribution must be a non-empty 1-d vector")
     if np.any(p < 0):
         raise ValueError("distribution has negative entries")
-    if abs(p.sum() - 1.0) > DIST_ATOL:
+    if not abs(p.sum() - 1.0) <= DIST_ATOL:  # a NaN sum fails too
         raise ValueError(f"distribution sums to {p.sum()!r}, expected 1")
     return p
 
@@ -75,8 +75,8 @@ class MarkovLM:
     """
 
     def __init__(self, vocab: Vocabulary, counts, bos_counts=None, smoothing: float = 1.0):
-        if smoothing <= 0:
-            raise ValueError("smoothing must be > 0")
+        if not 0 < smoothing < np.inf:  # NaN fails too; inf makes every row NaN
+            raise ValueError("smoothing must be finite and > 0")
         n = vocab.size
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape != (n, n) or np.any(counts < 0):
@@ -162,7 +162,7 @@ def apply_top_p(probs: np.ndarray, top_p: float) -> np.ndarray:
 def apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
     """Rescale probabilities as p**(1/temperature) and renormalize."""
     p = validate_distribution(probs)
-    if temperature <= 0:
+    if not temperature > 0:  # NaN fails too
         raise ValueError("temperature must be > 0")
     if temperature == 1.0:
         return p

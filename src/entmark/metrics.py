@@ -32,12 +32,21 @@ class RocSummary:
         return json.dumps(self.to_record())
 
 
-def auc_score(pos, neg) -> float:
-    """Rank-based P(pos > neg) with ties counted 1/2."""
+def _scores(pos, neg):
+    """Both score sets as float64 arrays, each non-empty and free of NaN
+    (a NaN score is above no threshold and has no rank)."""
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need at least one score on each side")
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        raise ValueError("scores must not be NaN")
+    return pos, neg
+
+
+def auc_score(pos, neg) -> float:
+    """Rank-based P(pos > neg) with ties counted 1/2."""
+    pos, neg = _scores(pos, neg)
     merged = np.concatenate([pos, neg])
     order = np.argsort(merged, kind="stable")
     ranks = np.empty(merged.size, dtype=np.float64)
@@ -64,10 +73,7 @@ def tpr_at_fpr(pos, neg, fpr: float = 0.01) -> float:
     and classification is strict (score > threshold), so at most that many
     negatives are ever flagged.
     """
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("need at least one score on each side")
+    pos, neg = _scores(pos, neg)
     allowed = int(np.floor(fpr * neg.size))
     if allowed >= neg.size:
         return 1.0
@@ -77,18 +83,19 @@ def tpr_at_fpr(pos, neg, fpr: float = 0.01) -> float:
 
 def roc_auc(pos, neg) -> RocSummary:
     """Full threshold sweep plus AUC and TPR at 1% empirical FPR."""
-    pos = np.asarray(pos, dtype=np.float64)
-    neg = np.asarray(neg, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("need at least one score on each side")
-    thresholds = np.unique(np.concatenate([pos, neg]))[::-1]
-    tpr = np.array([(pos > t).mean() for t in thresholds] + [1.0])
-    fpr = np.array([(neg > t).mean() for t in thresholds] + [1.0])
-    thresholds = np.concatenate([thresholds, [-np.inf]])
+    pos, neg = _scores(pos, neg)
+    cuts = np.unique(np.concatenate([pos, neg]))[::-1]
+
+    def above(scores):
+        # the share of scores > each cut, counted on the sorted scores, then
+        # all of them at the closing -inf threshold
+        n_above = scores.size - np.searchsorted(np.sort(scores), cuts, side="right")
+        return np.append(n_above / scores.size, 1.0)
+
     return RocSummary(
-        thresholds=thresholds,
-        tpr=tpr,
-        fpr=fpr,
+        thresholds=np.append(cuts, -np.inf),
+        tpr=above(pos),
+        fpr=above(neg),
         auc=auc_score(pos, neg),
         tpr_at_fpr01=tpr_at_fpr(pos, neg, 0.01),
     )

@@ -46,8 +46,6 @@ def sample_bs(probs: np.ndarray, code: TokenCode, elem: BsKeyElement) -> int:
     u = np.asarray(elem.u, dtype=np.float64)
     v = 0
     node = prefix_mass(p, code, v)
-    if node <= 0.0:
-        raise ValueError("distribution has no mass")
     for j in range(code.max_bits):
         if code.leaf[v] >= 0:
             break

@@ -41,7 +41,8 @@ def brute_min_block_cost(costs, k):
 
 
 def scalar_min_block_cost(costs, k):
-    """Scalar bit reference for ``detection.min_block_costs``.
+    """Scalar bit reference for ``detection.min_block_cost`` and the
+    stacked search behind it.
 
     The first window is summed in l order, then each text step does one
     subtract and one add per key offset; the scan is row-major with a strict

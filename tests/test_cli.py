@@ -80,6 +80,8 @@ def test_eval_roc_example(tmp_path):
     assert run(["eval-roc", "--pos", str(pos), "--neg", str(neg), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["auc"] == pytest.approx(0.75)
+    neg.write_text("0.5\nnan\n")
+    assert run(["eval-roc", "--pos", str(pos), "--neg", str(neg), "--out", str(out)]) == 1
 
 
 def test_exit_codes(tmp_path, model_file):
@@ -112,6 +114,22 @@ def test_detect_out_of_range_token_exits_1(tmp_path, capsys, cost, bad):
     assert run(["detect", "--in", str(gen), "--lm", "uniform:4", "--cost", cost,
                 "--T", "9"]) == 1
     assert f"token id {bad} out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", "--temperature"), ("generate", "--lambda"), ("train-lm", "--smoothing"),
+])
+def test_nan_flag_exits_1(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    if command == "train-lm":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b a c b a\n")
+        argv = ["train-lm", "--corpus", str(corpus)]
+    else:
+        argv = ["generate", "--lm", "uniform:4", "--m", "5"]
+    assert run(argv + [flag, "nan", "--out", str(out)]) == 1
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults(tmp_path):

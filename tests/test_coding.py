@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from entmark.coding import (bit_conditional, build_codes, build_huffman_codes,
-                            codes_for_lm, prefix_mass)
+from entmark.coding import build_codes, build_huffman_codes, codes_for_lm, prefix_mass
 from entmark.detection import h_hard, h_soft
 from entmark.keys import BsKeyElement
 from entmark.lm import skewed_lm
@@ -36,20 +35,17 @@ def test_encode_decode_round_trip():
 
 
 def test_bit_conditional_examples():
+    # P(next bit = 1 | prefix), the ratio the samplers take at each node
+    def bit_conditional(p, code, prefix):
+        return prefix_mass(p, code, code.node(prefix + "1")) / prefix_mass(p, code, code.node(prefix))
+
     code = build_codes(4)
     p = np.array([0.1, 0.2, 0.3, 0.4])
     assert bit_conditional(p, code, "") == pytest.approx(0.7)
     assert bit_conditional(p, code, "1") == pytest.approx(0.4 / 0.7)
     assert bit_conditional(np.array([1.0, 0, 0, 0]), code, "") == 0.0
-
-
-def test_bit_conditional_unreachable_prefix():
-    code = build_codes(4)
-    p = np.array([0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="unreachable prefix"):
-        bit_conditional(p, code, "0")
-    with pytest.raises(ValueError):
-        bit_conditional(p, code, "10")  # full code word, no next bit
+    with pytest.raises(ValueError, match="leaves the code tree"):
+        bit_conditional(p, code, "10")  # a full code word has no next bit
 
 
 def test_prefix_mass_splits():

@@ -206,7 +206,10 @@ def test_numpy_kernel_matches_scalar_transcription():
             grids[0] = 0.0
         if case % 5 == 0:
             grids[-1] = -0.0
-        values, starts, offsets = detection.min_block_costs(grids, k)
+        n_grids = grids.shape[0]
+        tables = grids.reshape(n_grids, n * length).T
+        index = detection._diagonal_index(n, np.arange(length), length)
+        values, starts, offsets = detection._min_diagonal_costs(tables, index, k)
         for b, grid in enumerate(grids):
             want = _exact(scalar_min_block_cost(grid, k))
             assert _exact((values[b], starts[b], offsets[b])) == want, (case, b, n, length, k)
@@ -397,6 +400,13 @@ def test_replay_boundary_matches_generation():
         res = generate(lm, [], lam, 30, "its", rng.bytes(8), rng)
         assert replay_boundary(lm, res.tokens, lam) == res.boundary
     assert replay_boundary(lm, [0, 1], 99.0) is None
+
+
+@pytest.mark.parametrize("token", [-3, 9])
+def test_replay_boundary_rejects_an_out_of_range_crossing_token(token):
+    # the gate would close on this token, so no later row lookup checks it
+    with pytest.raises(ValueError, match="token id out of range"):
+        replay_boundary(peaked_lm(8, 0.4), [token], 0.5)
 
 
 @pytest.mark.parametrize("lm, flags", [

@@ -100,6 +100,8 @@ def test_generate_validation():
         generate(lm, [], 1.0, 0, "its", b"s", rng)
     with pytest.raises(ValueError):
         generate(lm, [], -1.0, 5, "its", b"s", rng)
+    with pytest.raises(ValueError, match="entropy threshold must be >= 0"):
+        generate(lm, [], float("nan"), 5, "its", b"s", rng)
     with pytest.raises(ValueError):
         generate(lm, [], 1.0, 5, "gumbel", b"s", rng)
     with pytest.raises(ValueError):

@@ -5,13 +5,25 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, bs_element,
-                          chacha20_block_bytes, chacha20_blocks, derive_bs_sequence,
-                          derive_its_sequence, derive_key_sequence, derive_prf_key,
-                          its_element, resample_key_sequence, uniform_block, uniform_stream)
+from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, chacha20_blocks,
+                          derive_bs_sequence, derive_its_sequence, derive_key_sequence,
+                          derive_prf_key, resample_key_sequence, uniform_block)
 from oracles import resample_its_two_calls, scalar_chacha20_block
 
 KEY = bytes(range(32))
+
+
+def block_bytes(key, counter, nonce):
+    """One 64-byte keystream block, little-endian serialized."""
+    return chacha20_blocks(key, [counter], nonce)[0].astype("<u4").tobytes()
+
+
+def its_element(key, position, n_vocab):
+    return derive_its_sequence(key, 1, n_vocab, start=position).element(0)
+
+
+def bs_element(key, position, n_bits, n_vocab):
+    return derive_bs_sequence(key, 1, n_vocab, n_bits, start=position).element(0)
 
 
 def test_chacha20_rfc_vector():
@@ -21,7 +33,7 @@ def test_chacha20_rfc_vector():
         "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
         "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
     )
-    assert chacha20_block_bytes(KEY, 1, nonce) == expected
+    assert block_bytes(KEY, 1, nonce) == expected
 
 
 def test_chacha20_against_library():
@@ -38,7 +50,7 @@ def test_chacha20_against_library():
         key = rng.bytes(32)
         counter = int(rng.integers(0, 2**32))
         nonce = rng.bytes(12)
-        assert chacha20_block_bytes(key, counter, nonce) == library_stream(key, counter, nonce, 1)
+        assert block_bytes(key, counter, nonce) == library_stream(key, counter, nonce, 1)
     # one contiguous 40-block run, the counter staying within 32 bits
     key, nonce = rng.bytes(32), rng.bytes(12)
     start = int(rng.integers(0, 2**32 - 40))
@@ -72,15 +84,16 @@ def test_v1_key_bytes_are_pinned():
 
 
 def test_uniform_stream_determinism_and_range():
-    a = uniform_stream(KEY, 12345)
-    assert a == uniform_stream(KEY, 12345)
-    assert a != uniform_stream(KEY, 12346)
+    a = uniform_block(KEY, [12345])[0]
+    assert a == uniform_block(KEY, [12345])[0]
+    assert a != uniform_block(KEY, [12346])[0]
     big = uniform_block(KEY, np.arange(10_000, dtype=np.uint64))
     assert big.min() >= 0.0 and big.max() < 1.0
+    assert big[12] == uniform_block(KEY, [12])[0]  # stateless: index, not call order
     # indices above 32 bits roll into the nonce word and stay consistent
     hi = 2**40 + 7
-    assert uniform_stream(KEY, hi) == float(uniform_block(KEY, [hi])[0])
-    assert uniform_stream(KEY, hi) != uniform_stream(KEY, hi & 0xFFFFFFFF)
+    assert uniform_block(KEY, [hi])[0] == uniform_block(KEY, [7, hi])[1]
+    assert uniform_block(KEY, [hi])[0] != uniform_block(KEY, [hi & 0xFFFFFFFF])[0]
 
 
 def test_uniform_stream_ks_uniformity():
@@ -121,6 +134,23 @@ def test_its_element_determinism_and_edge():
     assert sorted(e1.ranks.tolist()) == [0, 1, 2, 3]
     single = its_element(KEY, 0, 1)
     assert np.array_equal(single.ranks, [0])
+
+
+def test_empty_and_single_token_derivation():
+    # no positions, and a one-token vocabulary, take the general path to
+    # the arrays a special case would build
+    for n_vocab in (1, 2, 8):
+        its = derive_its_sequence(KEY, 0, n_vocab, start=5)
+        assert its.u.shape == (0,) and its.ranks.shape == (0, n_vocab)
+        assert its.u.dtype == np.float64 and its.ranks.dtype == np.int64
+        bs = derive_bs_sequence(KEY, 0, n_vocab, 3, start=5)
+        assert bs.u.shape == (0, 3) and bs.u.dtype == np.float64
+    # N = 1, L = 1: a stride of 3 slots, the uniform in slot +0
+    single = derive_its_sequence(KEY, 6, 1, start=4)
+    want = uniform_block(KEY, np.arange(4, 10, dtype=np.uint64) * np.uint64(3))
+    assert single.u.tobytes() == want.tobytes()
+    assert single.ranks.dtype == np.int64
+    assert np.array_equal(single.ranks, np.zeros((6, 1)))
 
 
 def test_its_sequence_matches_elements():

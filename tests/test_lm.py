@@ -131,6 +131,18 @@ def test_temperature():
         apply_temperature(p, 0.0)
 
 
+def test_nan_fails_the_checks():
+    # NaN compares false both ways, so a check written as "x <= 0" passes it
+    nan = float("nan")
+    with pytest.raises(ValueError, match="sums to"):
+        validate_distribution([nan, 0.5, 0.5])
+    for smoothing in (nan, float("inf")):
+        with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
+            MarkovLM(small_vocab(), np.zeros((2, 2), dtype=np.int64), smoothing=smoothing)
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        apply_temperature(np.array([0.8, 0.2]), nan)
+
+
 def test_tokenize_and_vocab():
     assert tokenize("ab cd ab") == ["ab", "cd", "ab"]
     assert tokenize("ab cd", "char") == ["a", "b", "c", "d"]

@@ -45,3 +45,24 @@ def test_tpr_at_fpr():
     assert tpr_at_fpr(pos, neg, 0.01) == pytest.approx(3 / 4)
     assert tpr_at_fpr(pos, neg, 1.0) == 1.0
     assert tpr_at_fpr([5.0], [1.0], 0.5) in (0.0, 1.0)
+
+
+def test_roc_counts_match_brute_force_on_ties():
+    rng = np.random.default_rng(2)
+    for n_pos, n_neg in ((1, 1), (7, 3), (300, 500)):
+        # few distinct values, so most thresholds split tied scores
+        pos = rng.integers(0, 6, n_pos) / 2.0
+        neg = rng.integers(-2, 4, n_neg) / 2.0
+        s = roc_auc(pos, neg)
+        assert s.thresholds.tobytes() == np.append(
+            np.unique(np.concatenate([pos, neg]))[::-1], -np.inf).tobytes()
+        t = s.thresholds[:-1]
+        assert s.tpr.tobytes() == np.append([(pos > x).mean() for x in t], 1.0).tobytes()
+        assert s.fpr.tobytes() == np.append([(neg > x).mean() for x in t], 1.0).tobytes()
+
+
+def test_nan_scores_are_rejected():
+    for pos, neg in (([0.5, np.nan], [0.1]), ([0.5], [np.nan])):
+        for score in (auc_score, roc_auc, tpr_at_fpr):
+            with pytest.raises(ValueError, match="NaN"):
+                score(pos, neg)
