@@ -24,20 +24,20 @@ resampled key sequences. For binary keys, h maps a key element's uniforms to
   is kept for inspection but not used as the cost default.
 
 A key's cost against a text depends only on (key row, token), so a null key
-is built as an (n keys, U) cost table against the text's U distinct tokens
+is built as a cost table against the text's U distinct tokens
 (U <= min(N, L)), from which each text position reads its token's column.
-The search for phi is one NumPy kernel that slides over wrapped diagonals
-gathered from a key-major stack of tables, one diagonal when the slide
-reaches it: ``min_block_cost`` runs it on one cost grid (``phi``'s), and
-``detect_pvalue`` draws null keys a batch per call and searches as many of
-their tables at once as fit in a fixed byte budget.
+The search for phi is one NumPy kernel over tables stored token-major as
+doubled slabs, (U, 2n) per table with key rows 0..n-1 written twice, so the
+wrapped diagonal a text position reads is a contiguous block and the slide
+adds and subtracts it in place: ``min_block_cost`` runs it on one cost grid
+(``phi``'s), and ``detect_pvalue`` draws null keys a batch per call and
+searches as many of their slabs at once as fit in a fixed byte budget.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .coding import TokenCode
 from .generation import watermark_entropy
@@ -50,18 +50,18 @@ DEFAULT_BACKEND = "python"
 DEFAULT_BLOCK = 50
 DEFAULT_RESAMPLES = 99
 H_MODES = ("soft", "hard")
-# Byte budgets of detect_pvalue's null batches. One search takes as many cost
-# tables as fit in _CHUNK_BYTES (8 n U bytes a key, U the text's distinct
+# Byte budgets of detect_pvalue's null batches. One search takes as many
+# slabs as fit in _CHUNK_BYTES (16 n U bytes a key, U the text's distinct
 # tokens); it makes a few NumPy calls per text step whatever the batch, so
-# batching pays: on a 2-core Xeon, its detection at n = L = 400, N = 8,
-# T = 99 (25 KB tables) took 57-71 ms at 4 MiB (all 99 nulls in one search),
-# 77-89 ms at 2 MiB, 88-110 ms at 1 MiB and 160 ms at 256 KiB. One draw takes
-# as many keys as fit in _DRAW_BYTES (its: 8 n N bytes of ranks a key; bs:
-# 8 n n_bits of uniforms), which keeps a wide its draw cache-sized: at
-# n = L = 400, N = 256, drawing one key at a time took 350-516 ms per
-# detection against 486-555 ms for five, and at N = 8 budgets from 128 KiB
-# to 4 MiB all took 67-79 ms.
-_CHUNK_BYTES = 4 << 20
+# batching pays: on a 2-core Xeon, its detection at n ~ L = 400, N = 8,
+# T = 99 (50 KB slabs) took 52-63 ms at 8 MiB (all 99 nulls in one search),
+# 50-57 ms at 16 MiB, 65-79 ms at 4 MiB, 78-85 ms at 2 MiB and 139-154 ms at
+# 512 KiB (quartiles of 32 calls each). One draw takes as many keys as fit in
+# _DRAW_BYTES (its: 8 n N bytes of ranks a key; bs: 8 n n_bits of uniforms),
+# which keeps a wide its draw cache-sized: at n = L = 400, N = 256, drawing
+# one key at a time took 350-516 ms per detection against 486-555 ms for
+# five, and at N = 8 budgets from 128 KiB to 4 MiB all took 67-79 ms.
+_CHUNK_BYTES = 8 << 20
 _DRAW_BYTES = 256 << 10
 
 
@@ -110,24 +110,24 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
 
 def _cost_table(keyseq, n_vocab, code, h_mode, tokens, count=1) -> np.ndarray:
     """Every key row's cost against each token id in ``tokens``, for
-    ``count`` keys stacked in ``keyseq``: shape (n keys, len(tokens), count),
-    key b's table at [:, :, b]."""
+    ``count`` keys stacked in ``keyseq``, token-major: shape
+    (len(tokens), count, n keys), key b's row r at token c is [c, b, r]."""
     n = keyseq.n // count
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
         # eta without its range scan: ItsKeySequence checked the ranks
-        ranks = keyseq.ranks.reshape(count, n, n_vocab)[:, :, tokens].transpose(1, 2, 0)
-        table = np.divide(ranks, n_vocab - 1, order="C")
+        table = np.divide(keyseq.ranks[:, tokens].T, n_vocab - 1, order="C")
+        table = table.reshape(len(tokens), count, n)
         table -= 0.5
-        table *= (keyseq.u.reshape(count, n).T - 0.5)[:, None]
+        table *= keyseq.u.reshape(count, n) - 0.5
         return np.negative(table, out=table)
     if keyseq.kind == "bs":
         if code is None:
             raise ValueError("binary cost requires a token code")
-        h = h_values(keyseq, code, h_mode).reshape(count, n).T
+        h = h_values(keyseq, code, h_mode).reshape(count, n)
         eta = tokens / (n_vocab - 1) - 0.5
-        table = np.multiply((h - 0.5)[:, None], eta[:, None], order="C")
+        table = np.multiply(h - 0.5, eta[:, None, None])
         return np.negative(table, out=table)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
 
@@ -135,44 +135,32 @@ def _cost_table(keyseq, n_vocab, code, h_mode, tokens, count=1) -> np.ndarray:
 def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
     """Per-pair cost contributions, shape (n keys, text length)."""
     y = np.asarray(tokens, dtype=np.int64)  # _token_ids checked the text
-    return _cost_table(keyseq, n_vocab, code, h_mode, y)[:, :, 0]
+    return _cost_table(keyseq, n_vocab, code, h_mode, y)[:, 0].T
 
 
-def _diagonal_index(n: int, cols, width: int) -> np.ndarray:
-    """Flat indices of the wrapped diagonals of an (n, width) table read at
-    columns ``cols``, laid out (len(cols), n): entry (l, j) indexes
-    table[(j + l) % n, cols[l]]."""
-    rows = sliding_window_view(np.arange(n + len(cols) - 1) % n * width, n)
-    return rows + cols[:, None]
-
-
-def _min_diagonal_costs(tables: np.ndarray, index: np.ndarray, k: int):
-    """The search of ``min_block_cost`` over B stacked tables, shape
-    (rows, B), whose wrapped diagonal at text position l is
-    tables[index[l]]; each diagonal is gathered when the slide uses it.
-    Returns arrays (min cost, text start i, key offset j) of length B."""
-    length, n = index.shape
-    n_grids = tables.shape[1]
+def _min_diagonal_costs(slabs: np.ndarray, cols, k: int):
+    """The search of ``min_block_cost`` over B stacked tables held as
+    doubled slabs, shape (U, 2n, B): slabs[c, r, b] is table b's key row
+    r % n at its c-th column, and text position l reads column cols[l], so
+    its wrapped diagonal is the contiguous (n, B) block
+    slabs[cols[l], l % n:l % n + n]. Returns arrays (min cost, text start
+    i, key offset j) of length B."""
+    n = slabs.shape[1] // 2
+    n_grids = slabs.shape[2]
+    diags = [slabs[c, l % n:l % n + n] for l, c in enumerate(cols.tolist())]
     # s[j, b] is the window of key offset j; row i of the search grid is s
     # rolled by i
     s = np.zeros((n, n_grids))
-    diag = np.empty_like(s)
-
-    def gather(l):
-        # the index is in range by construction; "clip" only spares the
-        # buffered copy that the default mode makes of ``out``
-        return tables.take(index[l], 0, diag, "clip")
-
     for l in range(k):
-        s += gather(l)
+        s += diags[l]
     best = np.full(n_grids, np.inf)
     best_i = np.zeros(n_grids, dtype=np.int64)
     best_j = np.zeros(n_grids, dtype=np.int64)
     worst = np.inf  # best.max(): no grid improves unless s.min() is below it
-    for i in range(length - k + 1):
+    for i in range(len(diags) - k + 1):
         if i:
-            s -= gather(i - 1)
-            s += gather(i - 1 + k)
+            s -= diags[i - 1]
+            s += diags[i - 1 + k]
         if s.min() < worst:
             better = s.min(axis=0) < best
             # the row's first minimum is what the row-major strict-< scan keeps
@@ -200,8 +188,9 @@ def min_block_cost(costs: np.ndarray, k: int):
         raise ValueError("need at least one key element")
     if not 1 <= k <= length:
         raise ValueError("block length k must be in 1..text length")
-    index = _diagonal_index(n, np.arange(length), length)
-    value, i, j = _min_diagonal_costs(costs.reshape(n * length, 1), index, k)
+    slab = np.empty((length, 2 * n, 1))
+    slab[:, :n, 0] = slab[:, n:, 0] = costs.T
+    value, i, j = _min_diagonal_costs(slab, np.arange(length), k)
     return float(value[0]), int(i[0]), int(j[0])
 
 
@@ -310,25 +299,26 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
     observed = phi(y, keyseq, k, n_vocab, code, config.h_mode)
     # the nulls of consecutive resamples: keys drawn a batch at a time, and
     # their cost tables against the text's distinct tokens searched a chunk
-    # at a time
+    # of slabs at a time
     n = keyseq.n
     tokens, cols = np.unique(y, return_inverse=True)
-    index = _diagonal_index(n, cols, tokens.size)
     key_width = n_vocab if keyseq.kind == "its" else n_bits  # ranks or uniforms a row
     per_draw = max(1, _DRAW_BYTES // (8 * n * key_width))
-    per_search = max(1, _CHUNK_BYTES // (8 * n * tokens.size))
+    per_search = max(1, _CHUNK_BYTES // (16 * n * tokens.size))
     null = np.empty(config.T)
     for start in range(0, config.T, per_search):
         stop = min(start + per_search, config.T)
-        tables = np.empty((n, tokens.size, stop - start))
+        slabs = np.empty((tokens.size, 2 * n, stop - start))
         for i in range(start, stop, per_draw):
             count = min(per_draw, stop - i)
             resampled = resample_key_sequence(rng, keyseq.kind, n, n_vocab, n_bits, count)
-            tables[:, :, i - start:i - start + count] = _cost_table(
-                resampled, n_vocab, code, config.h_mode, tokens, count)
+            slabs[:, :n, i - start:i - start + count] = _cost_table(
+                resampled, n_vocab, code, config.h_mode, tokens, count).transpose(0, 2, 1)
             del resampled  # free these ranks before the next draw allocates its own
-        null[start:stop] = _min_diagonal_costs(
-            tables.reshape(n * tokens.size, stop - start), index, k)[0]
+        # one copy of the filled half: as fast as writing each draw into
+        # both halves at N = 8, and faster for its at N = 256 over 60 tokens
+        slabs[:, n:] = slabs[:, :n]
+        null[start:stop] = _min_diagonal_costs(slabs, cols, k)[0]
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,
@@ -376,7 +366,9 @@ def replay_boundary(lm, tokens, lam: float, prompt=(), top_p: float | None = Non
                     temperature: float | None = None) -> int | None:
     """Where the entropy gate closed along ``tokens`` under ``lm``, each row
     modified as ``generate`` modifies it: temperature, then top-p."""
-    if lam <= 0:
+    if not lam >= 0:  # NaN fails too, as in generate
+        raise ValueError("entropy threshold must be >= 0")
+    if lam == 0:
         return 0
     acc = 0.0
     ctx = list(prompt)

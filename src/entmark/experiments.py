@@ -52,8 +52,8 @@ class ExperimentRecord:
 def collision_bound(k: float, p: float) -> float:
     """Birthday bound: max draws l with collision probability <= p among k
     cells, l <= sqrt(k * (-2 ln(1 - p)))."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:  # NaN fails too
+        raise ValueError("k must be positive and finite")
     if not 0 <= p < 1:
         raise ValueError("p must be in [0, 1)")
     return math.sqrt(k * (-2.0 * math.log1p(-p)))
@@ -417,6 +417,8 @@ def run_error_lower_bound(lm: MarkovLM, c: float, m: int, samples: int,
     """
     if m < 0:
         raise ValueError("m must be >= 0")
+    if not 0 <= c < math.inf:  # NaN fails too
+        raise ValueError("c must be >= 0 and finite")
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)

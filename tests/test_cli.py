@@ -132,6 +132,20 @@ def test_nan_flag_exits_1(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, flag, value", [
+    ("collision-bound", "--cells", "nan"), ("collision-bound", "--cells", "inf"),
+    ("error-lower-bound", "--c", "nan"), ("error-lower-bound", "--c", "inf"),
+    ("error-lower-bound", "--c", "-0.5"),
+])
+def test_exp_rejects_a_bad_float(tmp_path, capsys, experiment, flag, value):
+    out = tmp_path / "rec.json"
+    assert run(["exp", experiment, flag, value, "--m", "5", "--samples", "10",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "must be" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("# defaults\nlm = uniform:4\nm = 25\nseed = 9\nsampler = bs\n")

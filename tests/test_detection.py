@@ -191,26 +191,46 @@ def _exact(result):
     return float(value).hex(), int(i), int(j)
 
 
+def _slabs(tables):
+    """A (B, n, U) stack of tables as the kernel's doubled (U, 2n, B) slabs."""
+    slabs = tables.transpose(2, 1, 0)
+    return np.ascontiguousarray(np.concatenate([slabs, slabs], axis=1))
+
+
 def test_numpy_kernel_matches_scalar_transcription():
     # every grid of a stack must reproduce the scalar reference's arithmetic
     # step by step, so batching never changes a byte
     rng = np.random.default_rng(17)
-    for case in range(200):
-        n = 1 if case % 10 == 0 else int(rng.integers(1, 12))
+    for case in range(240):
         length = int(rng.integers(1, 16))
-        k = length if case % 7 == 0 else int(rng.integers(1, length + 1))
-        grids = rng.standard_normal((int(rng.integers(1, 6)), n, length))
+        if case % 6 == 0:
+            n = 1
+        elif case % 6 == 1:
+            n = length + int(rng.integers(1, 6))  # n > L
+        elif case % 6 == 2:
+            n = max(1, length // 2)  # n < L once L > 1
+        else:
+            n = int(rng.integers(1, 12))
+        if case % 7 == 0:
+            k = length
+        elif case % 7 == 1:
+            k = 1
+        else:
+            k = int(rng.integers(1, length + 1))
+        # text position l reads column cols[l] of a narrower table, as a
+        # null key's table against the text's distinct tokens is read
+        width = int(rng.integers(1, length + 1))
+        cols = rng.integers(width, size=length) if case % 2 else np.arange(length)
+        tables = rng.standard_normal((int(rng.integers(1, 6)), n, cols.max() + 1))
         if case % 3 == 0:
-            grids = np.round(grids, 1)  # ties between windows
+            tables = np.round(tables, 1)  # ties between windows
         if case % 4 == 0:
-            grids[0] = 0.0
+            tables[0] = 0.0
         if case % 5 == 0:
-            grids[-1] = -0.0
-        n_grids = grids.shape[0]
-        tables = grids.reshape(n_grids, n * length).T
-        index = detection._diagonal_index(n, np.arange(length), length)
-        values, starts, offsets = detection._min_diagonal_costs(tables, index, k)
-        for b, grid in enumerate(grids):
+            tables[-1] = -0.0
+        values, starts, offsets = detection._min_diagonal_costs(_slabs(tables), cols, k)
+        for b, table in enumerate(tables):
+            grid = table[:, cols]
             want = _exact(scalar_min_block_cost(grid, k))
             assert _exact((values[b], starts[b], offsets[b])) == want, (case, b, n, length, k)
             assert _exact(min_block_cost(grid, k)) == want
@@ -240,9 +260,9 @@ def _check_null_stream(y, keyseq, config, n_vocab, code, monkeypatch):
         draws.append(count)
         return resample_key_sequence(rng, kind, n, n_vocab, n_bits, count)
 
-    def spy(tables, index, k):
-        searches.append(tables.shape[1])
-        return search(tables, index, k)
+    def spy(slabs, cols, k):
+        searches.append(slabs.shape[2])
+        return search(slabs, cols, k)
 
     monkeypatch.setattr(detection, "resample_key_sequence", resample)
     monkeypatch.setattr(detection, "_min_diagonal_costs", spy)
@@ -265,8 +285,9 @@ def test_null_stream_matches_per_resample_phi(cost, size, T, monkeypatch):
     keyseq = resample_key_sequence(rng, cost, size, 8, code.max_bits)
     config = DetectionConfig(cost=cost, T=T)
     if size == 400:
-        # a budget of three 400 x 8 tables: T = 7 runs as chunks of 3, 3, 1
-        monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * 8 * size * 8)
+        # a budget of three 400-row slabs over 8 tokens (16 n U bytes a
+        # key): T = 7 runs as chunks of 3, 3, 1
+        monkeypatch.setattr(detection, "_CHUNK_BYTES", 3 * 16 * size * 8)
     chunks = [3, 3, 1] if size == 400 else [T]
     assert _check_null_stream(y, keyseq, config, 8, code, monkeypatch) == (chunks, chunks)
 
@@ -400,6 +421,16 @@ def test_replay_boundary_matches_generation():
         res = generate(lm, [], lam, 30, "its", rng.bytes(8), rng)
         assert replay_boundary(lm, res.tokens, lam) == res.boundary
     assert replay_boundary(lm, [0, 1], 99.0) is None
+
+
+@pytest.mark.parametrize("lam", [float("nan"), -0.5, -np.inf])
+def test_replay_boundary_checks_lambda_as_generate_does(lam):
+    lm = peaked_lm(8, 0.4)
+    with pytest.raises(ValueError, match="entropy threshold"):
+        generate(lm, [], lam, 5, "its", b"salt", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="entropy threshold"):
+        replay_boundary(lm, [1, 2, 3], lam)
+    assert replay_boundary(lm, [1, 2, 3], 0.0) == 0
 
 
 @pytest.mark.parametrize("token", [-3, 9])

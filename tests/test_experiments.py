@@ -17,6 +17,9 @@ def test_collision_bound_closed_form():
         ex.collision_bound(0, 0.5)
     with pytest.raises(ValueError):
         ex.collision_bound(10, 1.0)
+    for k in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ex.collision_bound(k, 0.5)
 
 
 def test_seed_collisions_quick():
@@ -121,6 +124,9 @@ def test_error_lower_bound_arms():
     assert empty.metrics["estimate"] == 1.0
     with pytest.raises(ValueError):
         ex.run_error_lower_bound(uniform_lm(8), 0.1, 5, 0, seed=0)
+    for c in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="finite"):
+            ex.run_error_lower_bound(uniform_lm(8), c, 5, 10, seed=0)
 
 
 def test_experiment_record_serialization():
