@@ -31,9 +31,9 @@ def watermark_entropy(probs: np.ndarray, token: int) -> float:
 
 
 # Bound on n * N * 8, the bytes of an its key's rank table (and more than a bs
-# key's n * L uniforms take). Deriving an its key peaks at ~15x its rank table
-# (228 MB for the 16 MB of n = 8000, N = 256), so this keeps a key's working
-# memory near 2 GiB; a larger key would exhaust memory part-way through.
+# key's n * L uniforms take). Deriving an its key peaks at ~4x its rank table
+# (66 MB for the 16 MB of n = 8000, N = 256), so a key at this limit needs
+# ~512 MiB of working memory while it is derived.
 MAX_KEY_BYTES = 2**27
 
 

@@ -22,10 +22,11 @@ def validate_distribution(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a non-empty 1-d vector")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("distribution has negative entries")
-    if not abs(p.sum() - 1.0) <= DIST_ATOL:  # a NaN sum fails too
-        raise ValueError(f"distribution sums to {p.sum()!r}, expected 1")
+    total = p.sum()
+    if not abs(total - 1.0) <= DIST_ATOL:  # a NaN sum fails too
+        raise ValueError(f"distribution sums to {total!r}, expected 1")
     return p
 
 

@@ -27,9 +27,9 @@ def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
     ranks = np.asarray(elem.ranks)
     if ranks.shape != p.shape:
         raise ValueError("permutation size does not match distribution")
-    order = np.argsort(ranks)
-    cum = np.cumsum(p[order])
-    idx = int(np.searchsorted(cum, elem.u, side="left"))
+    order = ranks.argsort()
+    cum = p[order].cumsum()
+    idx = int(cum.searchsorted(elem.u, side="left"))
     return int(order[min(idx, p.size - 1)])
 
 

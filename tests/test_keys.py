@@ -15,7 +15,7 @@ KEY = bytes(range(32))
 
 def block_bytes(key, counter, nonce):
     """One 64-byte keystream block, little-endian serialized."""
-    return chacha20_blocks(key, [counter], nonce)[0].astype("<u4").tobytes()
+    return chacha20_blocks(key, counter, 1, nonce)[0].astype("<u4").tobytes()
 
 
 def its_element(key, position, n_vocab):
@@ -37,7 +37,6 @@ def test_chacha20_rfc_vector():
 
 
 def test_chacha20_against_library():
-    pytest.importorskip("cryptography")
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
     def library_stream(key, counter, nonce, n_blocks):
@@ -54,19 +53,29 @@ def test_chacha20_against_library():
     # one contiguous 40-block run, the counter staying within 32 bits
     key, nonce = rng.bytes(32), rng.bytes(12)
     start = int(rng.integers(0, 2**32 - 40))
-    words = chacha20_blocks(key, np.arange(start, start + 40, dtype=np.uint64), nonce)
+    words = chacha20_blocks(key, start, 40, nonce)
     assert words.astype("<u4").tobytes() == library_stream(key, start, nonce, 40)
 
 
 def test_chacha_blocks_match_scalar_oracle():
-    # two passes: a full one and a 37-counter tail
+    # one stream as long as a full uniform_block pass and a 37-block tail
     rng = np.random.default_rng(9)
     key, nonce = rng.bytes(32), rng.bytes(12)
-    counters = rng.integers(0, 2**32, size=_PASS + 37, dtype=np.uint64)
-    words = chacha20_blocks(key, counters, nonce)
-    assert words.shape == (counters.size, 16) and words.dtype == np.uint32
-    for ctr, row in zip(counters.tolist(), words.tolist()):
+    count = _PASS + 37
+    start = int(rng.integers(0, 2**32 - count))
+    words = chacha20_blocks(key, start, count, nonce)
+    assert words.shape == (count, 16) and words.dtype == np.uint32
+    for ctr, row in enumerate(words.tolist(), start):
         assert row == scalar_chacha20_block(key, ctr, nonce)
+
+
+def test_chacha_blocks_stay_within_the_32_bit_counter():
+    nonce = bytes(range(12))
+    last = chacha20_blocks(KEY, 2**32 - 3, 3, nonce)[-1]
+    assert last.tolist() == scalar_chacha20_block(KEY, 2**32 - 1, nonce)
+    for counter, count in ((2**32 - 3, 4), (2**32, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="block counters"):
+            chacha20_blocks(KEY, counter, count, nonce)
 
 
 def test_v1_key_bytes_are_pinned():
@@ -84,25 +93,39 @@ def test_v1_key_bytes_are_pinned():
 
 
 def test_uniform_stream_determinism_and_range():
-    a = uniform_block(KEY, [12345])[0]
-    assert a == uniform_block(KEY, [12345])[0]
-    assert a != uniform_block(KEY, [12346])[0]
-    big = uniform_block(KEY, np.arange(10_000, dtype=np.uint64))
+    a = uniform_block(KEY, 12345, 1)[0]
+    assert a == uniform_block(KEY, 12345, 1)[0]
+    assert a != uniform_block(KEY, 12346, 1)[0]
+    big = uniform_block(KEY, 0, 10_000)
     assert big.min() >= 0.0 and big.max() < 1.0
-    assert big[12] == uniform_block(KEY, [12])[0]  # stateless: index, not call order
+    assert big[12] == uniform_block(KEY, 12, 1)[0]  # stateless: index, not call order
     # indices above 32 bits roll into the nonce word and stay consistent
     hi = 2**40 + 7
-    assert uniform_block(KEY, [hi])[0] == uniform_block(KEY, [7, hi])[1]
-    assert uniform_block(KEY, [hi])[0] != uniform_block(KEY, [hi & 0xFFFFFFFF])[0]
+    assert uniform_block(KEY, hi, 1)[0] == uniform_block(KEY, hi - 7, 8)[7]
+    assert uniform_block(KEY, hi, 1)[0] != uniform_block(KEY, hi & 0xFFFFFFFF, 1)[0]
+
+
+def test_uniform_span_across_the_high_word_equals_its_halves():
+    # a span over a multiple of 2**32 is cut there, and passes of _PASS
+    # blocks meet on both sides of the cut
+    edge = 3 * 2**32
+    first, count = edge - _PASS - 5, 2 * _PASS + 11
+    whole = uniform_block(KEY, first, count)
+    below = uniform_block(KEY, first, edge - first)
+    above = uniform_block(KEY, edge, first + count - edge)
+    assert whole.tobytes() == below.tobytes() + above.tobytes()
+    # the first index past the edge is counter 0 under high word 3
+    word = scalar_chacha20_block(KEY, 0, (3).to_bytes(4, "little") + bytes(8))
+    assert above[0] == ((word[0] | word[1] << 32) >> 11) * 2.0**-53
 
 
 def test_uniform_stream_ks_uniformity():
-    u = uniform_block(KEY, np.arange(1_000_000, dtype=np.uint64))
+    u = uniform_block(KEY, 0, 1_000_000)
     assert stats.kstest(u, "uniform").pvalue > 0.01
 
 
 def test_stream_pair_independence():
-    u = uniform_block(KEY, np.arange(200_000, dtype=np.uint64))
+    u = uniform_block(KEY, 0, 200_000)
     rho = np.corrcoef(u[0::2], u[1::2])[0, 1]
     assert abs(rho) < 0.01
 
@@ -147,7 +170,7 @@ def test_empty_and_single_token_derivation():
         assert bs.u.shape == (0, 3) and bs.u.dtype == np.float64
     # N = 1, L = 1: a stride of 3 slots, the uniform in slot +0
     single = derive_its_sequence(KEY, 6, 1, start=4)
-    want = uniform_block(KEY, np.arange(4, 10, dtype=np.uint64) * np.uint64(3))
+    want = uniform_block(KEY, 4 * 3, 6 * 3)[::3]
     assert single.u.tobytes() == want.tobytes()
     assert single.ranks.dtype == np.int64
     assert np.array_equal(single.ranks, np.zeros((6, 1)))
