@@ -26,12 +26,14 @@ resampled key sequences. For binary keys, h maps a key element's uniforms to
 A key's cost against a text depends only on (key row, token), so a null key
 is built as a cost table against the text's U distinct tokens
 (U <= min(N, L)), from which each text position reads its token's column.
-The search for phi is one NumPy kernel over tables stored token-major as
-doubled slabs, (U, 2n) per table with key rows 0..n-1 written twice, so the
-wrapped diagonal a text position reads is a contiguous block and the slide
-adds and subtracts it in place: ``min_block_cost`` runs it on one cost grid
-(``phi``'s), and ``detect_pvalue`` draws null keys a batch per call and
-searches as many of their slabs at once as fit in a fixed byte budget.
+Tables are stored token-major as doubled slabs, (U, 2n) per table with key
+rows 0..n-1 written twice, so the wrapped diagonal a text position reads is
+a contiguous block, and one slide adds and subtracts it in place at each
+text step. Two searches read that slide: ``min_block_cost`` keeps the
+row-major first minimum (i, j) of one grid (``phi``'s), and ``detect_pvalue``
+keeps only an elementwise running minimum over a stack of null slabs, since
+a null statistic enters the p-value by its value alone. Null keys are drawn
+a batch per call, and each draw writes its tables straight into the slab.
 """
 
 import json
@@ -52,15 +54,16 @@ DEFAULT_RESAMPLES = 99
 H_MODES = ("soft", "hard")
 # Byte budgets of detect_pvalue's null batches. One search takes as many
 # slabs as fit in _CHUNK_BYTES (16 n U bytes a key, U the text's distinct
-# tokens); it makes a few NumPy calls per text step whatever the batch, so
-# batching pays: on a 2-core Xeon, its detection at n ~ L = 400, N = 8,
-# T = 99 (50 KB slabs) took 52-63 ms at 8 MiB (all 99 nulls in one search),
-# 50-57 ms at 16 MiB, 65-79 ms at 4 MiB, 78-85 ms at 2 MiB and 139-154 ms at
-# 512 KiB (quartiles of 32 calls each). One draw takes as many keys as fit in
+# tokens); it makes three NumPy calls per text step whatever the batch. On a
+# 2-core Xeon, its detection at n ~ L = 400, N = 8, T = 99 (50 KB slabs)
+# took 28-30 ms from 2 MiB to 16 MiB (all 99 nulls in one search from 8 MiB
+# up) and 35-36 ms at 512 KiB; at N = 256 over 400 tokens (U ~ 200, 1.3 MB
+# slabs) 301-314 ms at 8 MiB, 275-303 ms at 32 MiB and 395-403 ms at 2 MiB
+# (quartiles of 9-32 calls each). One draw takes as many keys as fit in
 # _DRAW_BYTES (its: 8 n N bytes of ranks a key; bs: 8 n n_bits of uniforms),
-# which keeps a wide its draw cache-sized: at n = L = 400, N = 256, drawing
-# one key at a time took 350-516 ms per detection against 486-555 ms for
-# five, and at N = 8 budgets from 128 KiB to 4 MiB all took 67-79 ms.
+# which keeps a wide its draw cache-sized: at n = L = 400, N = 256, 256 KiB
+# and 1 MiB took 299-317 ms against 334-351 ms at 4 MiB, and at N = 8
+# 128 KiB to 1 MiB took 26-35 ms against 35-39 ms at 4 MiB.
 _CHUNK_BYTES = 8 << 20
 _DRAW_BYTES = 256 << 10
 
@@ -108,69 +111,69 @@ def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np
     return h_hard(keyseq.u, code)
 
 
-def _cost_table(keyseq, n_vocab, code, h_mode, tokens, count=1) -> np.ndarray:
-    """Every key row's cost against each token id in ``tokens``, for
-    ``count`` keys stacked in ``keyseq``, token-major: shape
-    (len(tokens), count, n keys), key b's row r at token c is [c, b, r]."""
-    n = keyseq.n // count
+def _cost_table(keyseq, n_vocab, code, h_mode, tokens, out) -> np.ndarray:
+    """Write every key row's cost against each token id in ``tokens`` into
+    ``out``, for the count keys stacked in ``keyseq``, token-major: out has
+    shape (len(tokens), count, n keys), and key b's row r at token c lands
+    in out[c, b, r]. Returns ``out``."""
+    count, n = out.shape[1:]
+    # -(a * b) is a * (-b) to the bit, so the negation rides on the small factor
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
-        # eta without its range scan: ItsKeySequence checked the ranks
-        table = np.divide(keyseq.ranks[:, tokens].T, n_vocab - 1, order="C")
-        table = table.reshape(len(tokens), count, n)
-        table -= 0.5
-        table *= keyseq.u.reshape(count, n) - 0.5
-        return np.negative(table, out=table)
+        # eta without its range scan: ItsKeySequence checked the ranks, or
+        # they are an argsort's
+        eta = np.arange(n_vocab) / (n_vocab - 1) - 0.5
+        ranks = keyseq.ranks[:, tokens].T.reshape(len(tokens), count, n)
+        return np.multiply(eta[ranks], np.negative(keyseq.u.reshape(count, n) - 0.5), out=out)
     if keyseq.kind == "bs":
         if code is None:
             raise ValueError("binary cost requires a token code")
         h = h_values(keyseq, code, h_mode).reshape(count, n)
-        eta = tokens / (n_vocab - 1) - 0.5
-        table = np.multiply(h - 0.5, eta[:, None, None])
-        return np.negative(table, out=table)
+        eta = np.negative(tokens / (n_vocab - 1) - 0.5)
+        return np.multiply(h - 0.5, eta[:, None, None], out=out)
     raise ValueError(f"unknown key kind {keyseq.kind!r}")
 
 
 def _cost_matrix(tokens, keyseq, n_vocab, code, h_mode):
     """Per-pair cost contributions, shape (n keys, text length)."""
     y = np.asarray(tokens, dtype=np.int64)  # _token_ids checked the text
-    return _cost_table(keyseq, n_vocab, code, h_mode, y)[:, 0].T
+    table = np.empty((y.size, 1, keyseq.n))
+    return _cost_table(keyseq, n_vocab, code, h_mode, y, table)[:, 0].T
 
 
-def _min_diagonal_costs(slabs: np.ndarray, cols, k: int):
-    """The search of ``min_block_cost`` over B stacked tables held as
-    doubled slabs, shape (U, 2n, B): slabs[c, r, b] is table b's key row
-    r % n at its c-th column, and text position l reads column cols[l], so
-    its wrapped diagonal is the contiguous (n, B) block
-    slabs[cols[l], l % n:l % n + n]. Returns arrays (min cost, text start
-    i, key offset j) of length B."""
+def _windows(slabs: np.ndarray, cols, k: int):
+    """The wrapped-diagonal slide over tables held as doubled slabs, shape
+    (U, 2n, ...): slabs[c, r] is key row r % n at the tables' c-th column,
+    and text position l reads column cols[l], so its wrapped diagonal is the
+    contiguous block slabs[cols[l], l % n:l % n + n].
+
+    Yields, at each text start i in turn, one buffer updated in place:
+    s[j] is the window of text start i at key offset (i + j) % n, so row i
+    of the search grid is s rolled by i. The first window is summed in l
+    order from 0, then each text step does one subtract and one add.
+    """
     n = slabs.shape[1] // 2
-    n_grids = slabs.shape[2]
     diags = [slabs[c, l % n:l % n + n] for l, c in enumerate(cols.tolist())]
-    # s[j, b] is the window of key offset j; row i of the search grid is s
-    # rolled by i
-    s = np.zeros((n, n_grids))
+    s = np.zeros((n,) + slabs.shape[2:])
     for l in range(k):
         s += diags[l]
-    best = np.full(n_grids, np.inf)
-    best_i = np.zeros(n_grids, dtype=np.int64)
-    best_j = np.zeros(n_grids, dtype=np.int64)
-    worst = np.inf  # best.max(): no grid improves unless s.min() is below it
-    for i in range(len(diags) - k + 1):
-        if i:
-            s -= diags[i - 1]
-            s += diags[i - 1 + k]
-        if s.min() < worst:
-            better = s.min(axis=0) < best
-            # the row's first minimum is what the row-major strict-< scan keeps
-            row = np.roll(s[:, better], i, axis=0)
-            j = row.argmin(axis=0)
-            best[better] = row[j, np.arange(j.size)]
-            best_i[better] = i
-            best_j[better] = j
-            worst = best.max()
-    return best, best_i, best_j
+    yield s
+    for i in range(1, len(diags) - k + 1):
+        s -= diags[i - 1]
+        s += diags[i - 1 + k]
+        yield s
+
+
+def _min_diagonal_costs(slabs: np.ndarray, cols, k: int) -> np.ndarray:
+    """The minimum window of each of the B tables stacked as (U, 2n, B)
+    slabs (see ``_windows``): ``min_block_cost``'s value for every grid,
+    without its (i, j). A window sum is never -0.0 (the slide starts from
+    +0.0), so the elementwise running minimum keeps the scan's bytes."""
+    low = np.full((slabs.shape[1] // 2,) + slabs.shape[2:], np.inf)
+    for s in _windows(slabs, cols, k):
+        np.minimum(low, s, out=low)
+    return low.min(axis=0)
 
 
 def min_block_cost(costs: np.ndarray, k: int):
@@ -188,10 +191,16 @@ def min_block_cost(costs: np.ndarray, k: int):
         raise ValueError("need at least one key element")
     if not 1 <= k <= length:
         raise ValueError("block length k must be in 1..text length")
-    slab = np.empty((length, 2 * n, 1))
-    slab[:, :n, 0] = slab[:, n:, 0] = costs.T
-    value, i, j = _min_diagonal_costs(slab, np.arange(length), k)
-    return float(value[0]), int(i[0]), int(j[0])
+    slab = np.empty((length, 2 * n))
+    slab[:, :n] = slab[:, n:] = costs.T
+    best, best_i, best_j = np.inf, 0, 0
+    for i, s in enumerate(_windows(slab, np.arange(length), k)):
+        if s.min() < best:
+            # the row's first minimum is what the row-major strict-< scan keeps
+            row = np.roll(s, i)
+            j = int(row.argmin())
+            best, best_i, best_j = row[j], i, j
+    return float(best), best_i, best_j
 
 
 @dataclass(frozen=True)
@@ -309,16 +318,22 @@ def detect_pvalue(tokens, keyseq, config: DetectionConfig, rng: np.random.Genera
     for start in range(0, config.T, per_search):
         stop = min(start + per_search, config.T)
         slabs = np.empty((tokens.size, 2 * n, stop - start))
-        for i in range(start, stop, per_draw):
-            count = min(per_draw, stop - i)
+        # the draws fill the second half key-major, (U, B, n), so each writes
+        # its tables in place in contiguous rows
+        staged = slabs.reshape(tokens.size, 2, -1)[:, 1].reshape(tokens.size, -1, n)
+        for i in range(0, stop - start, per_draw):
+            count = min(per_draw, stop - start - i)
             resampled = resample_key_sequence(rng, keyseq.kind, n, n_vocab, n_bits, count)
-            slabs[:, :n, i - start:i - start + count] = _cost_table(
-                resampled, n_vocab, code, config.h_mode, tokens, count).transpose(0, 2, 1)
+            _cost_table(resampled, n_vocab, code, config.h_mode, tokens,
+                        staged[:, i:i + count])
             del resampled  # free these ranks before the next draw allocates its own
-        # one copy of the filled half: as fast as writing each draw into
-        # both halves at N = 8, and faster for its at N = 256 over 60 tokens
-        slabs[:, n:] = slabs[:, :n]
-        null[start:stop] = _min_diagonal_costs(slabs, cols, k)[0]
+        # move them to the first half and double them a token at a time: the
+        # halves interleave, so a whole-slab copy would stage its source in a
+        # half-slab temporary
+        for c in range(tokens.size):
+            slabs[c, :n] = staged[c].T
+            slabs[c, n:] = slabs[c, :n]
+        null[start:stop] = _min_diagonal_costs(slabs, cols, k)
     p_value = (1.0 + float(np.sum(null <= observed.value))) / (config.T + 1)
     return DetectionReport(
         p_value=p_value, phi0=observed.value, best_i=observed.best_i, best_j=observed.best_j,

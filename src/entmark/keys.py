@@ -132,6 +132,14 @@ class ItsKeySequence:
         if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.n_vocab):
             raise ValueError(f"key rank out of range 0..{self.n_vocab - 1}")
 
+    @classmethod
+    def _of_argsort(cls, u: np.ndarray, ranks: np.ndarray) -> "ItsKeySequence":
+        """Wrap float64 ``u`` and the int64 ``ranks`` of an argsort, which
+        are in range by construction, without the range scan."""
+        seq = cls.__new__(cls)
+        seq.u, seq.ranks = u, ranks
+        return seq
+
     @property
     def n(self) -> int:
         return self.u.size
@@ -226,7 +234,8 @@ def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: 
     if kind == "its":
         draws = rng.random((count, n * (n_vocab + 1)))
         ranks = np.argsort(draws[:, n:].reshape(count, n, n_vocab), axis=2)
-        return ItsKeySequence(draws[:, :n].ravel(), ranks.reshape(count * n, n_vocab))
+        return ItsKeySequence._of_argsort(draws[:, :n].ravel(),
+                                          ranks.reshape(count * n, n_vocab))
     if kind == "bs":
         return BsKeySequence(rng.random((count * n, n_bits)))
     raise ValueError(f"unknown key kind {kind!r}")
