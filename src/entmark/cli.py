@@ -9,6 +9,7 @@ error, 2 I/O error.
 
 import argparse
 import json
+import shlex
 import sys
 
 import numpy as np
@@ -47,29 +48,25 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
-def _load_config_defaults(argv):
-    """Pull key=value defaults out of a --config file; explicit flags win."""
+def _with_config(argv):
+    """argv with each ``key = value`` line of a --config file spliced in as
+    ``--key`` and the value's shell words, after the leading subcommand words,
+    so flags typed on the command line come later and win."""
     if "--config" not in argv:
-        return argv, {}
+        return argv
     i = argv.index("--config")
     if i + 1 == len(argv):
         raise ValueError("--config needs a file name")
-    path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
-    defaults = {}
-    with open(path, encoding="utf-8") as fh:
+    flags = []
+    with open(argv[i + 1], encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            try:
-                defaults[key] = json.loads(value)
-            except json.JSONDecodeError:
-                defaults[key] = value
-    return rest, defaults
+            if line and not line.startswith("#"):
+                key, _, value = line.partition("=")
+                flags += ["--" + key.strip().replace("_", "-"), *shlex.split(value)]
+    lead = next((j for j, word in enumerate(rest) if word.startswith("-")), len(rest))
+    return rest[:lead] + flags + rest[lead:]
 
 
 def cmd_train_lm(args):
@@ -214,7 +211,7 @@ def cmd_exp(args):
     elif args.experiment == "attack-auc":
         lm = _load_model(args)
         specs = []
-        for text in args.attack:
+        for text in args.attack or ["substitute:0.1"]:
             specs.extend(parse_attack_spec(text))
         rec = experiments.run_attack_auc(lm, args.entropy_threshold, args.m,
                                          attack_specs=specs, n_pos=args.samples,
@@ -306,7 +303,7 @@ def build_parser():
     p.add_argument("--cells", type=float, default=365.0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--c", type=float, default=0.1)
-    p.add_argument("--attack", action="append", default=["substitute:0.1"])
+    p.add_argument("--attack", action="append", help="default: substitute:0.1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_exp)
@@ -317,17 +314,7 @@ def build_parser():
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, defaults = _load_config_defaults(argv)
-        parser = build_parser()
-        if defaults:
-            for sub in parser._subparsers._group_actions[0].choices.values():
-                known = set()
-                for action in sub._actions:
-                    if action.dest in defaults:
-                        action.required = False  # a config value satisfies it
-                        known.add(action.dest)
-                sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     except SystemExit as exc:  # argparse usage problems are validation errors
         return 0 if not exc.code else 1

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import TokenCode
-from .generation import watermark_entropy
-from .keys import (BsKeySequence, SeedBlock, derive_key_sequence, key_bits,
-                   resample_key_sequence)
+from .generation import bounded_key_sequence, watermark_entropy
+from .keys import BsKeySequence, SeedBlock, key_bits, resample_key_sequence
 from .lm import apply_temperature, apply_top_p
 
 # The one alignment kernel's name, read by the benchmark's environment report.
@@ -358,12 +357,12 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
     if config.s_max is not None:
         s_hi = min(s_hi, config.s_max)
     candidates = list(range(s_hi + 1))
-    n_bits = key_bits(n_vocab, code)
     best = None
     scanned = []
     for s in candidates:
         seed = SeedBlock(tuple(int(t) for t in y[:s]), salt)
-        keyseq = derive_key_sequence(seed, config.cost, len(y) - s, n_vocab, n_bits)
+        keyseq = bounded_key_sequence(seed, config.cost, len(y) - s, n_vocab, code,
+                                      f"scan candidate s = {s}")
         rep = detect_pvalue(y[s:], keyseq, config, rng, n_vocab, code)
         scanned.append({"s": s, "p_value": rep.p_value, "phi0": rep.phi0})
         if best is None or rep.p_value < best[1].p_value:

@@ -17,11 +17,12 @@ from scipy import stats
 from . import metrics
 from .attacks import apply_attacks
 from .coding import build_codes
-from .detection import DetectionConfig, detect_pvalue, phi, h_soft, replay_boundary
+from .detection import (DEFAULT_BLOCK, DetectionConfig, detect_pvalue, h_soft, phi,
+                        replay_boundary)
 from .generation import GenerationResult, generate, generate_baseline, key_sequence_for
-from .keys import PRF_ID, derive_prf_key, resample_key_sequence
-from .lm import MarkovLM
-from .sampling import sample_bs_many, sample_multinomial
+from .keys import PRF_ID, BsKeyElement, derive_prf_key, resample_key_sequence
+from .lm import MarkovLM, uniform_lm
+from .sampling import sample_bs, sample_bs_many, sample_multinomial
 
 
 @dataclass
@@ -65,6 +66,8 @@ def run_seed_collisions(lm: MarkovLM, lam: float, t: int, m: int, seed: int) -> 
     All generations share one salt (one watermarked model); the fraction is
     checked against the (t-1) * 2^-lambda union bound plus 3 binomial sigma.
     """
+    if t < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     salt = rng.bytes(16)
     seen = set()
@@ -166,19 +169,16 @@ def run_covariance_gap(n_vocab: int, m: int, reps: int, seed: int) -> Experiment
     The vocabulary size must be a power of two: only then are all code bits
     exactly balanced, which is what makes the identity exact.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if reps < 2:  # the standard error needs two replications
+        raise ValueError("reps must be >= 2")
     if n_vocab & (n_vocab - 1):
         raise ValueError("n_vocab must be a power of two")
     rng = np.random.default_rng(seed)
     code = build_codes(n_vocab)
-    probs = np.full(n_vocab, 1.0 / n_vocab)
-    u = rng.random((reps * m, code.max_bits))
-    tokens = sample_bs_many(probs, code, u)
-    u_fresh = rng.random((reps * m, code.max_bits))
-    centered_eta = tokens / (n_vocab - 1) - 0.5
-    d_secret = -(h_soft(u, code) - 0.5) * centered_eta
-    d_fresh = -(h_soft(u_fresh, code) - 0.5) * centered_eta
+    tokens, u, u_fresh = _bs_blocks(uniform_lm(n_vocab), m, reps, rng, code)
+    d_secret, d_fresh = _soft_costs(tokens, u, u_fresh, n_vocab, code)
     per_rep = (d_fresh - d_secret).reshape(reps, m).sum(axis=1)
     gap = float(per_rep.mean())
     se = float(per_rep.std(ddof=1) / math.sqrt(reps))
@@ -199,11 +199,7 @@ def _is_uniform(lm: MarkovLM) -> bool:
 
 def _bs_blocks(lm, k, reps, rng, code):
     """reps watermarked blocks of length k: (tokens, key u, fresh u)."""
-    from .keys import BsKeyElement
-    from .sampling import sample_bs
-
-    probs_uniform = _is_uniform(lm)
-    if probs_uniform:
+    if _is_uniform(lm):
         u = rng.random((reps * k, code.max_bits))
         tokens = sample_bs_many(np.full(lm.size, 1.0 / lm.size), code, u)
         u_fresh = rng.random((reps * k, code.max_bits))
@@ -221,6 +217,14 @@ def _bs_blocks(lm, k, reps, rng, code):
     return tokens, u, u_fresh
 
 
+def _soft_costs(tokens, u, u_fresh, n_vocab, code):
+    """Per-token soft bs costs of the blocks under their generating keys u
+    and under the fresh keys, each a flat array in token order."""
+    centered_eta = tokens.ravel() / (n_vocab - 1) - 0.5
+    return tuple(-(h_soft(key.reshape(-1, code.max_bits), code) - 0.5) * centered_eta
+                 for key in (u, u_fresh))
+
+
 def run_hoeffding_bound(lm: MarkovLM, k_values, reps: int, seed: int) -> ExperimentRecord:
     """Empirical P(fresh-key block cost <= generating-key block cost) per
     block length k, against 2 exp(-k Var(eta)^2 alpha^2 / 2).
@@ -232,6 +236,8 @@ def run_hoeffding_bound(lm: MarkovLM, k_values, reps: int, seed: int) -> Experim
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    if any(int(k) < 1 for k in k_values):
+        raise ValueError("every block length k must be >= 1")
     rng = np.random.default_rng(seed)
     code = build_codes(lm.size)
     results = {}
@@ -249,9 +255,7 @@ def run_hoeffding_bound(lm: MarkovLM, k_values, reps: int, seed: int) -> Experim
                 for row in tokens for i in range(len(row))
             ])
             alpha = float(np.mean(1.0 - probs_of))
-        centered_eta = flat / (lm.size - 1) - 0.5
-        d_secret = (-(h_soft(u.reshape(-1, code.max_bits), code) - 0.5) * centered_eta)
-        d_fresh = (-(h_soft(u_fresh.reshape(-1, code.max_bits), code) - 0.5) * centered_eta)
+        d_secret, d_fresh = _soft_costs(tokens, u, u_fresh, lm.size, code)
         d_secret = d_secret.reshape(reps, int(k)).sum(axis=1)
         d_fresh = d_fresh.reshape(reps, int(k)).sum(axis=1)
         frac = float(np.mean(d_fresh <= d_secret))
@@ -274,6 +278,8 @@ def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
                         seed: int = 0, k: int | None = None) -> ExperimentRecord:
     """Null calibration: on key-independent text, P(p <= a) should not
     exceed a (up to Monte Carlo slack)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     code = build_codes(n_vocab)
     rates = {}
@@ -302,7 +308,7 @@ def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
 
 def _score_text(tokens, keyseq, n_vocab, code, k=None):
     """Watermark evidence score of a text against a key sequence: -phi."""
-    kk = min(len(tokens), k or 50)
+    kk = min(len(tokens), k or DEFAULT_BLOCK)
     return -phi(tokens, keyseq, kk, n_vocab, code).value
 
 

@@ -211,7 +211,7 @@ def generate_baseline(lm: MarkovLM, prompt, m: int, rng: np.random.Generator,
 def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | None = None,
                      kind: str | None = None):
     """The key sequence a generation consumes after its boundary, from its
-    seed block; generation and detection both derive keys here.
+    seed block; generation and key-mode detection derive keys here.
 
     ``kind`` defaults to the generating sampler; a multinomial record has no
     keys unless a kind is forced.
@@ -225,7 +225,15 @@ def key_sequence_for(result: GenerationResult, n_vocab: int, code: TokenCode | N
     n = result.m - result.boundary
     if n < 1:
         raise ValueError("no watermarked positions to derive keys for")
+    return bounded_key_sequence(seed, kind, n, n_vocab, code, f"record field 'm' = {result.m}")
+
+
+def bounded_key_sequence(seed: SeedBlock, kind: str, n: int, n_vocab: int,
+                         code: TokenCode | None, source: str):
+    """The n-position key sequence of ``seed``, refused past MAX_KEY_BYTES
+    before anything is derived; every key derivation goes through here.
+    ``source`` names what asked for the n positions in the error."""
     if n * n_vocab * 8 > MAX_KEY_BYTES:
-        raise ValueError(f"record field 'm' = {result.m} needs {n} key positions over "
-                         f"{n_vocab} tokens, past the {MAX_KEY_BYTES >> 20} MiB key limit")
+        raise ValueError(f"{source} needs {n} key positions over {n_vocab} tokens, "
+                         f"past the {MAX_KEY_BYTES >> 20} MiB key limit")
     return keymod.derive_key_sequence(seed, kind, n, n_vocab, keymod.key_bits(n_vocab, code))

@@ -2,7 +2,7 @@
 
 Scores are oriented so that larger means more watermarked (callers pass -phi
 or -p_value). AUC is the probability that a random positive outscores a
-random negative, ties counted half, computed from ranks.
+random negative, ties counted half.
 """
 
 import json
@@ -45,25 +45,13 @@ def _scores(pos, neg):
 
 
 def auc_score(pos, neg) -> float:
-    """Rank-based P(pos > neg) with ties counted 1/2."""
+    """P(pos > neg) with ties counted 1/2, from each positive's count of
+    negatives below it and tied with it in the sorted negatives."""
     pos, neg = _scores(pos, neg)
-    merged = np.concatenate([pos, neg])
-    order = np.argsort(merged, kind="stable")
-    ranks = np.empty(merged.size, dtype=np.float64)
-    ranks[order] = np.arange(1, merged.size + 1)
-    # average ranks over ties
-    sorted_vals = merged[order]
-    i = 0
-    while i < merged.size:
-        j = i
-        while j + 1 < merged.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[: pos.size].sum()
-    u = rank_sum - pos.size * (pos.size + 1) / 2.0
-    return float(u / (pos.size * neg.size))
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    return float((below.sum() + 0.5 * ties.sum()) / (pos.size * neg.size))
 
 
 def tpr_at_fpr(pos, neg, fpr: float = 0.01) -> float:

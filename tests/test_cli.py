@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from entmark.cli import main
+from entmark.cli import build_parser, main
 
 
 def run(args):
@@ -160,6 +160,59 @@ def test_config_file_defaults(tmp_path):
     # an I/O error
     assert run(["generate", "--config"]) == 1
     assert run(["--config", str(tmp_path / "absent.conf"), "generate"]) == 2
+
+
+def test_config_values_are_the_flags_they_name(tmp_path, model_file):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"lambda = 0\nlm = {model_file}\nm = 6\nseed = 3\nsampler = bs\n"
+                   "prompt = 'red green'\n")
+    by_config, by_flags = tmp_path / "c.jsonl", tmp_path / "f.jsonl"
+    assert run(["--config", str(cfg), "generate", "--out", str(by_config)]) == 0
+    assert run(["generate", "--lambda", "0", "--lm", str(model_file), "--m", "6", "--seed", "3",
+                "--sampler", "bs", "--prompt", "red green", "--out", str(by_flags)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    rec = read_jsonl(by_config)[0]
+    assert rec["lambda"] == 0.0 and len(rec["prompt"]) == 2
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["generate"], "lamda = 0"), (["generate"], "count = 1.5"),
+    (["generate"], "entropy_threshold = 0"), (["generate"], "prompt = 'red"),
+    (["exp", "pvalue-validity"], "T = [1]"), (["detect"], "infile = in.jsonl"),
+])
+def test_bad_config_line_exits_1(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"lm = uniform:4\n{line}\n")
+    out = tmp_path / "out.jsonl"
+    assert run(["--config", str(cfg)] + argv + ["--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exp_attack_replaces_its_default(tmp_path):
+    parse = build_parser().parse_args
+    assert parse(["exp", "attack-auc", "--attack", "delete:0.2"]).attack == ["delete:0.2"]
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("attack = delete:0.2\n")
+    out = tmp_path / "rec.json"
+    for argv, attacks in ((["exp", "attack-auc"], ["substitute:0.1"]),
+                          (["--config", str(cfg), "exp", "attack-auc", "--attack", "insert:0.1"],
+                           ["delete:0.2", "insert:0.1"])):
+        # a run this small may miss its AUC bounds and exit 1
+        assert run(argv + ["--m", "30", "--samples", "3", "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["config"]["attacks"] == attacks
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("seed-collisions", ["--trials", "0"]), ("covariance-gap", ["--m", "0"]),
+    ("covariance-gap", ["--samples", "1"]), ("pvalue-validity", ["--trials", "0"]),
+    ("hoeffding-bound", ["--k-values", "0"]),
+])
+def test_exp_rejects_a_count_that_leaves_a_metric_undefined(capsys, experiment, flags):
+    assert run(["exp", experiment] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_exp_subcommands(tmp_path, capsys):

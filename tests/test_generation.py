@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entmark import keys as keymod
+from entmark import generation as genmod, keys as keymod
 from entmark.coding import codes_for_lm
-from entmark.detection import replay_boundary
+from entmark.detection import DetectionConfig, detect_seed_scan, replay_boundary
 from entmark.generation import (MAX_KEY_BYTES, GenerationResult, generate, generate_baseline,
                                 key_sequence_for, watermark_entropy)
 from entmark.keys import SeedBlock
@@ -237,6 +237,28 @@ def test_key_sequence_for_bounds_m(monkeypatch):
     res.m = res.boundary + MAX_KEY_BYTES // (8 * lm.size)  # the largest key allowed
     with pytest.raises(Derived):
         key_sequence_for(res, lm.size)
+
+
+def test_scan_mode_derives_keys_under_the_same_bound(monkeypatch):
+    class Derived(Exception):
+        pass
+
+    def derive(*args):
+        raise Derived
+
+    lm = uniform_lm(4)
+    res = generate(lm, [], 1.0, 60, "its", b"s", np.random.default_rng(1))
+    monkeypatch.setattr(keymod, "derive_key_sequence", derive)
+    monkeypatch.setattr(genmod, "MAX_KEY_BYTES", 1000)  # 31 positions over 4 tokens
+    with pytest.raises(ValueError, match="record field 'm' = 60"):
+        key_sequence_for(res, lm.size)
+    config = DetectionConfig(cost="its", T=3, s_max=2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="scan candidate s = 0 needs 60 key positions"):
+        detect_seed_scan(res.tokens, config, res.salt, lm.size, rng)
+    monkeypatch.setattr(genmod, "MAX_KEY_BYTES", 60 * 4 * 8)  # the whole text fits
+    with pytest.raises(Derived):
+        detect_seed_scan(res.tokens, config, res.salt, lm.size, rng)
 
 
 def test_pre_boundary_faithfulness_empirical():

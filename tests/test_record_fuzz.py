@@ -1,10 +1,12 @@
 """Property tests of the CLI's exit-code contract: any record, however
 mangled, makes `detect` and `attack` exit 0, 1 or 2 without a traceback, and
-so does any mangling of the flags of `detect`, `attack` and `generate`."""
+so does any mangling of the flags of `detect`, `attack` and `generate`, typed
+on the command line or read from a --config file."""
 
 import contextlib
 import io
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -106,16 +108,27 @@ argvs = st.sampled_from(tuple(FLAGS)).flatmap(lambda command: st.lists(
     min_size=1, max_size=3).map(lambda mutations: _argv(command, mutations)))
 
 
+def _run(argv, out):
+    """Exit code and output bytes of one run, which must not print a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    return rc, out.read_bytes() if out.exists() else None
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(argvs)
 def test_any_argv_keeps_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.jsonl"
+        tmp = Path(tmp)
+        path = tmp / "in.jsonl"
         path.write_text(json.dumps(VALID) + "\n")
-        if argv[0] != "generate":
-            argv += ["--in", str(path)]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main(argv + ["--out", str(Path(tmp) / "out.jsonl")])
+        tail = [] if argv[0] == "generate" else ["--in", str(path)]
+        rc, out = _run(argv + tail, tmp / "out.jsonl")
         assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        # the same flags as config lines, keyed with underscores, give the same run
+        config = tmp / "run.conf"
+        config.write_text("".join(f"{flag[2:].replace('-', '_')} = {shlex.quote(value)}\n"
+                                  for flag, value in zip(argv[1::2], argv[2::2])))
+        assert _run([argv[0], "--config", str(config)] + tail, tmp / "out2.jsonl") == (rc, out)
