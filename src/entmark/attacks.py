@@ -38,6 +38,12 @@ class AttackSpec:
         elif not 0.0 <= self.rate <= 1.0:
             raise ValueError("attack rate must be in [0, 1]")
 
+    def __str__(self) -> str:
+        """The notation parse_attack_spec reads back to this spec."""
+        if self.kind == "crop":
+            return f"crop:{self.crop_lo}:{self.crop_hi}"
+        return f"{self.kind}:{self.rate!r}"
+
 
 def parse_attack_spec(text: str) -> list:
     """Parse CLI notation: 'substitute:0.1', 'crop:2:5', or a preset name."""

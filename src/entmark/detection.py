@@ -121,7 +121,7 @@ def _cost_table(keyseq, n_vocab, code, h_mode, tokens, out) -> np.ndarray:
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
         # eta without its range scan: ItsKeySequence checked the ranks, or
-        # they are an argsort's
+        # they are permutations by construction
         eta = np.arange(n_vocab) / (n_vocab - 1) - 0.5
         ranks = keyseq.ranks[:, tokens].T.reshape(len(tokens), count, n)
         return np.multiply(eta[ranks], np.negative(keyseq.u.reshape(count, n) - 0.5), out=out)

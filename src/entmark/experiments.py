@@ -404,7 +404,7 @@ def run_attack_auc(lm: MarkovLM, lam: float, m: int, kinds=("its", "bs"),
         name="attack-auc",
         config={"lambda": lam, "m": m, "kinds": list(kinds), "n_pos": n_pos,
                 "n_neg": n_neg, "n_vocab": lm.size,
-                "attacks": [spec.kind + f":{spec.rate}" for spec in attack_specs]},
+                "attacks": [str(spec) for spec in attack_specs]},
         metrics=out,
         bounds={"clean_auc": 0.95, "max_degradation": max_degradation},
         passed=passed,

@@ -32,8 +32,9 @@ def watermark_entropy(probs: np.ndarray, token: int) -> float:
 
 # Bound on n * N * 8, the bytes of an its key's rank table (and more than a bs
 # key's n * L uniforms take). Deriving an its key peaks at ~4x its rank table
-# (66 MB for the 16 MB of n = 8000, N = 256), so a key at this limit needs
-# ~512 MiB of working memory while it is derived.
+# (67 MB for the 16 MB of n = 8000, N = 256), so a key at this limit needs
+# ~512 MiB of working memory while it is derived; the key then holds 2x, its
+# rank table and the token order it was shuffled into.
 MAX_KEY_BYTES = 2**27
 
 
@@ -170,11 +171,12 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
         raise ValueError("token code does not match vocabulary size")
 
     tokens: list = []
+    context = list(prompt)  # prompt + tokens, grown in step with tokens
     acc = 0.0
     boundary: int | None = None
     keyseq = None
     for _ in range(m):
-        probs = lm.context_distribution(prompt + tokens)
+        probs = lm.context_distribution(context)
         if temperature is not None:
             probs = apply_temperature(probs, temperature)
         if top_p is not None:
@@ -192,6 +194,7 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
         else:
             tok = sample_bs(probs, code, keyseq.element(len(tokens) - boundary))
         tokens.append(tok)
+        context.append(tok)
     if boundary is None and acc >= lam:
         boundary = len(tokens)  # crossed on the last token; empty suffix
     return GenerationResult(

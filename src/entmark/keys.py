@@ -19,6 +19,7 @@ The null keys of the detection permutation test are not PRF-derived; they
 come from an explicit ``numpy.random.Generator`` supplied by the caller.
 """
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -50,16 +51,25 @@ def derive_prf_key(seed: SeedBlock) -> bytes:
 
 
 # Blocks per library call: 256 KiB of keystream, of which each block's first 8
-# bytes are kept. On a 2-core Xeon a 105,205-block span took 2.7 ms in such
-# passes, ~4 ms in passes of 1,024 or 16,384, and a 2.1M-block span 69 ms
-# against 280 ms in passes of 2**20, whose keystream no longer fits in cache.
+# bytes are kept. Written by ``update_into`` straight into the returned array,
+# 4,096 blocks took ~70 us (~300 us through ``update``, which allocates the
+# plaintext and the keystream as two fresh 256 KiB bytes) and a 105,205-block
+# span ~2.0 ms on a 2-core Xeon. Passes of 1,024, 2,048 or 16,384 blocks were
+# slower, 8,192 no clearly faster; passes of 2**20 no longer fit in cache.
 _PASS = 4096
+
+
+@functools.cache
+def _zero_plaintext() -> memoryview:
+    """The 64 * _PASS zero bytes each pass encrypts, made on the first draw;
+    a process that derives no key never holds them."""
+    return memoryview(bytes(64 * _PASS))
 
 
 def chacha20_blocks(key: bytes, counter: int, count: int, nonce: bytes = bytes(12)) -> np.ndarray:
     """RFC 8439 ChaCha20 blocks ``counter .. counter+count-1`` under one
-    nonce, as a (count, 16) array of uint32 words, from the ``cryptography``
-    package's stream cipher.
+    nonce, as a fresh (count, 16) array of uint32 words, which the
+    ``cryptography`` package's stream cipher writes in place.
 
     The counter is one 32-bit word; a run past 2**32 raises, since RFC 8439
     leaves the counter's overflow undefined.
@@ -72,9 +82,17 @@ def chacha20_blocks(key: bytes, counter: int, count: int, nonce: bytes = bytes(1
         raise ValueError("nonce must be 12 bytes")
     if counter < 0 or counter + count > 2**32:
         raise ValueError("block counters must stay within 0 .. 2**32 - 1")
-    cipher = Cipher(algorithms.ChaCha20(key, struct.pack("<I", counter) + nonce), mode=None)
-    stream = cipher.encryptor().update(bytes(64 * count))
-    return np.frombuffer(stream, dtype="<u4").reshape(count, 16)
+    out = np.empty((count, 16), dtype="<u4")
+    if count == 0:  # a memoryview cannot cast an empty array
+        return out
+    zeros = _zero_plaintext()
+    encryptor = Cipher(algorithms.ChaCha20(key, struct.pack("<I", counter) + nonce),
+                       mode=None).encryptor()
+    buf = memoryview(out).cast("B")
+    for done in range(0, len(buf), len(zeros)):
+        chunk = buf[done : done + len(zeros)]
+        encryptor.update_into(zeros[: len(chunk)], chunk)
+    return out
 
 
 def uniform_block(key: bytes, first: int, count: int) -> np.ndarray:
@@ -107,10 +125,16 @@ def key_bits(n_vocab: int, code=None) -> int:
 
 @dataclass(frozen=True)
 class ItsKeyElement:
-    """One inverse-transform key element: a uniform and a token-rank map."""
+    """One inverse-transform key element: a uniform and a token-rank map,
+    with the tokens in rank order (``ranks.argsort()`` unless given)."""
 
     u: float
     ranks: np.ndarray  # ranks[token id] = 0-based rank
+    order: np.ndarray | None = None  # order[rank] = token id
+
+    def __post_init__(self):
+        if self.order is None:
+            object.__setattr__(self, "order", np.asarray(self.ranks).argsort())
 
 
 @dataclass(frozen=True)
@@ -131,13 +155,16 @@ class ItsKeySequence:
         # checked once here, so the detection cost can gather ranks unchecked
         if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.n_vocab):
             raise ValueError(f"key rank out of range 0..{self.n_vocab - 1}")
+        self._order = None
 
     @classmethod
-    def _of_argsort(cls, u: np.ndarray, ranks: np.ndarray) -> "ItsKeySequence":
-        """Wrap float64 ``u`` and the int64 ``ranks`` of an argsort, which
-        are in range by construction, without the range scan."""
+    def _of_permutations(cls, u: np.ndarray, ranks: np.ndarray,
+                         order: np.ndarray | None = None) -> "ItsKeySequence":
+        """Wrap float64 ``u`` and int64 ``ranks`` whose rows are permutations,
+        so in range by construction, without the range scan; ``order``, if
+        known, is the rows' inverse."""
         seq = cls.__new__(cls)
-        seq.u, seq.ranks = u, ranks
+        seq.u, seq.ranks, seq._order = u, ranks, order
         return seq
 
     @property
@@ -148,8 +175,17 @@ class ItsKeySequence:
     def n_vocab(self) -> int:
         return self.ranks.shape[1]
 
+    @property
+    def order(self) -> np.ndarray:
+        """Tokens in rank order per row, ``ranks.argsort(axis=1)``; computed
+        on first use unless derivation kept it. Racing threads compute the
+        same array, so the cache needs no lock."""
+        if self._order is None:
+            self._order = self.ranks.argsort(axis=1)
+        return self._order
+
     def element(self, i: int) -> ItsKeyElement:
-        return ItsKeyElement(float(self.u[i]), self.ranks[i])
+        return ItsKeyElement(float(self.u[i]), self.ranks[i], self.order[i])
 
 
 class BsKeySequence:
@@ -170,27 +206,36 @@ class BsKeySequence:
         return BsKeyElement(self.u[i])
 
 
-def _fisher_yates(uniforms: np.ndarray) -> np.ndarray:
-    """Shuffle 0..N-1 per row from iid uniforms; returns rank maps.
+def _fisher_yates(uniforms: np.ndarray) -> tuple:
+    """Shuffle 0..N-1 per row from iid uniforms; returns (ranks, order).
 
     Row i of ``uniforms`` holds the N-1 draws for one permutation, consumed
-    at steps s = N-1 .. 1. The shuffled arrangement lists the token at each
-    rank; the returned array is its inverse (token -> rank).
+    at steps s = N-1 .. 1. The shuffled arrangement ``order`` lists the
+    token at each rank; ``ranks`` is its inverse (token -> rank). Both are
+    (rows, N); ``order`` is a transposed view of the token-major shuffle.
     """
     n_rows, n_draws = uniforms.shape
     n = n_draws + 1
     steps = np.arange(n - 1, 0, -1)
-    targets = np.minimum((uniforms.T * (steps + 1)[:, None]).astype(np.int64), steps[:, None])
+    rows = np.arange(n_rows)
+    # one temporary: the slot each step swaps with, truncated into it as
+    # astype would, then made a flat index into the token-major ``order``
+    targets = np.empty((n - 1, n_rows), dtype=np.int64)
+    np.multiply(uniforms.T, (steps + 1)[:, None], out=targets, casting="unsafe")
+    np.minimum(targets, steps[:, None], out=targets)
+    targets *= n_rows
+    targets += rows
     # token-major, so the slots swapped at one step are contiguous rows
     order = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n_rows))
-    rows = np.arange(n_rows)
+    flat = order.reshape(-1)
     for s, j in zip(steps, targets):
-        held = order[s].copy()
-        order[s] = order[j, rows]
-        order[j, rows] = held
+        row = order[s]
+        held = row.copy()
+        row[...] = flat[j]
+        flat[j] = held
     ranks = np.empty((n_rows, n), dtype=np.int64)
     ranks[rows, order] = np.arange(n)[:, None]
-    return ranks
+    return ranks, order.T
 
 
 def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None = None,
@@ -200,7 +245,8 @@ def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None
         n_bits = key_bits(n_vocab)
     stride = n_vocab + n_bits + 1
     slots = uniform_block(prf_key, start * stride, n * stride).reshape(n, stride)
-    return ItsKeySequence(slots[:, 0].copy(), _fisher_yates(slots[:, 1:n_vocab]))
+    ranks, order = _fisher_yates(slots[:, 1:n_vocab])
+    return ItsKeySequence._of_permutations(slots[:, 0].copy(), ranks, order)
 
 
 def derive_bs_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int,
@@ -234,8 +280,8 @@ def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: 
     if kind == "its":
         draws = rng.random((count, n * (n_vocab + 1)))
         ranks = np.argsort(draws[:, n:].reshape(count, n, n_vocab), axis=2)
-        return ItsKeySequence._of_argsort(draws[:, :n].ravel(),
-                                          ranks.reshape(count * n, n_vocab))
+        return ItsKeySequence._of_permutations(draws[:, :n].ravel(),
+                                               ranks.reshape(count * n, n_vocab))
     if kind == "bs":
         return BsKeySequence(rng.random((count * n, n_bits)))
     raise ValueError(f"unknown key kind {kind!r}")

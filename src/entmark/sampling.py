@@ -24,10 +24,9 @@ def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
     """First token, in ascending key-rank order, whose cumulative mass
     reaches the key uniform."""
     p = validate_distribution(probs)
-    ranks = np.asarray(elem.ranks)
-    if ranks.shape != p.shape:
+    order = elem.order
+    if order.shape != p.shape:
         raise ValueError("permutation size does not match distribution")
-    order = ranks.argsort()
     cum = p[order].cumsum()
     idx = int(cum.searchsorted(elem.u, side="left"))
     return int(order[min(idx, p.size - 1)])

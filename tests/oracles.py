@@ -255,6 +255,15 @@ def scalar_h_soft(u, code) -> np.ndarray:
     return np.array(out)
 
 
+def argsort_sample_its(probs, u: float, ranks) -> int:
+    """Inverse-transform sampling with the rank order recomputed on every
+    call: the first token, in ascending rank, whose cumulative mass reaches
+    ``u``."""
+    order = np.asarray(ranks).argsort()
+    cum = np.asarray(probs, dtype=np.float64)[order].cumsum()
+    return int(order[min(int(cum.searchsorted(u, side="left")), order.size - 1)])
+
+
 def resample_its_two_calls(rng, n: int, n_vocab: int):
     """An its null key drawn in two calls: n uniforms, then n rows of N
     draws argsorted into rank maps. Returns (u, ranks)."""

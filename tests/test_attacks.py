@@ -73,6 +73,14 @@ def test_parse_specs_and_presets():
         AttackSpec("substitute", 1.5)
 
 
+def test_spec_text_round_trips():
+    for text in ("substitute:0.1", "insert:0.25", "delete:1.0", "crop:1:20", "paraphrase-proxy"):
+        specs = parse_attack_spec(text)
+        assert [s for spec in specs for s in parse_attack_spec(str(spec))] == specs
+    assert [str(s) for s in parse_attack_spec("crop:1:20")] == ["crop:1:20"]
+    assert str(AttackSpec("substitute", 1 / 3)) == f"substitute:{1 / 3!r}"
+
+
 def test_apply_attacks_chains():
     rng = np.random.default_rng(6)
     y = list(range(100))

@@ -203,6 +203,14 @@ def test_exp_attack_replaces_its_default(tmp_path):
         assert json.loads(out.read_text())["config"]["attacks"] == attacks
 
 
+def test_attack_auc_records_specs_it_can_read_back(tmp_path):
+    out = tmp_path / "rec.json"
+    argv = ["exp", "attack-auc", "--attack", "crop:1:20", "--attack", "paraphrase-proxy"]
+    assert run(argv + ["--m", "30", "--samples", "3", "--out", str(out)]) in (0, 1)
+    assert json.loads(out.read_text())["config"]["attacks"] == [
+        "crop:1:20", "substitute:0.25", "insert:0.1"]
+
+
 @pytest.mark.parametrize("experiment, flags", [
     ("seed-collisions", ["--trials", "0"]), ("covariance-gap", ["--m", "0"]),
     ("covariance-gap", ["--samples", "1"]), ("pvalue-validity", ["--trials", "0"]),

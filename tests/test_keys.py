@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, chacha20_blocks,
+from entmark.keys import (_PASS, BsKeySequence, ItsKeyElement, ItsKeySequence, SeedBlock,
+                          chacha20_blocks,
                           derive_bs_sequence, derive_its_sequence, derive_key_sequence,
                           derive_prf_key, resample_key_sequence, uniform_block)
 from oracles import resample_its_two_calls, scalar_chacha20_block
@@ -76,6 +77,11 @@ def test_chacha_blocks_stay_within_the_32_bit_counter():
     for counter, count in ((2**32 - 3, 4), (2**32, 1), (-1, 2)):
         with pytest.raises(ValueError, match="block counters"):
             chacha20_blocks(KEY, counter, count, nonce)
+
+
+def test_chacha_blocks_of_no_blocks():
+    words = chacha20_blocks(KEY, 7, 0)
+    assert words.shape == (0, 16) and words.dtype == np.uint32
 
 
 def test_v1_key_bytes_are_pinned():
@@ -182,6 +188,19 @@ def test_its_sequence_matches_elements():
         e = its_element(KEY, i, 5)
         assert e.u == seq.u[i]
         assert np.array_equal(e.ranks, seq.ranks[i])
+
+
+def test_element_order_is_the_rank_argsort():
+    derived = derive_its_sequence(KEY, 9, 256)
+    resampled = resample_key_sequence(np.random.default_rng(4), "its", 3, 8, 3, count=2)
+    hand = ItsKeySequence(np.full(3, 0.5), [[2, 0, 1], [1, 1, 0], [0, 0, 0]])
+    for seq in (derived, resampled, hand):
+        for i in range(seq.n):
+            assert np.array_equal(seq.element(i).order, seq.ranks[i].argsort())
+        assert seq.order is seq.order  # computed once, then cached
+    for ranks in ([2, 0, 1], [1, 1, 0], [3, 0, 3, 1]):
+        element = ItsKeyElement(0.5, ranks)
+        assert np.array_equal(element.order, np.argsort(ranks))
 
 
 def test_permutation_uniformity():

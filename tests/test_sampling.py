@@ -5,7 +5,8 @@ from scipy import stats
 from entmark.coding import build_codes, build_huffman_codes
 from entmark.keys import BsKeyElement, ItsKeyElement
 from entmark.sampling import sample_bs, sample_bs_many, sample_its, sample_multinomial
-from oracles import bs_law_exact, its_law_grid
+from entmark.keys import derive_its_sequence
+from oracles import argsort_sample_its, bs_law_exact, its_law_grid
 
 
 def its(u, ranks):
@@ -42,6 +43,26 @@ def test_sample_its_rank_monotone_in_u():
         us = np.sort(rng.random(40))
         picked_ranks = [ranks[sample_its(p, its(float(u), ranks))] for u in us]
         assert all(a <= b for a, b in zip(picked_ranks, picked_ranks[1:]))
+
+
+def test_sample_its_matches_per_call_argsort():
+    # elements built by hand (tied ranks too) and derived ones answer as the
+    # sampler did when it argsorted the ranks on every call
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 8, 256):
+        for _ in range(20):
+            p = rng.dirichlet(np.full(n, 0.3))
+            p[rng.random(n) < 0.2] = 0.0
+            p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
+            ranks = rng.permutation(n)
+            tied = rng.integers(n, size=n)
+            for u in (0.0, float(rng.random()), 1.0 - 2**-53):
+                for r in (ranks, tied, ranks.tolist()):
+                    assert sample_its(p, ItsKeyElement(u, r)) == argsort_sample_its(p, u, r)
+    seq = derive_its_sequence(bytes(range(32)), 40, 8)
+    p = rng.dirichlet(np.ones(8))
+    for i in range(seq.n):
+        assert sample_its(p, seq.element(i)) == argsort_sample_its(p, seq.u[i], seq.ranks[i])
 
 
 def test_sample_bs_examples():
