@@ -35,8 +35,9 @@ class TokenCode:
     ``members[node]`` the ascending ids of the tokens beneath it, and
     ``[lo, lo + 2**-depth)`` the dyadic cell its prefix spells. A fixed code
     over N < 2**L tokens keeps each unused pattern as a leaf with no members
-    that reads as token N-1; Huffman trees are full. Immutable; concurrent
-    reads are safe.
+    that reads as token N-1; Huffman trees are full. ``branches[node]`` is
+    ``(leaf, child0, child1)`` as Python ints, for walks one node at a time.
+    Immutable; concurrent reads are safe.
     """
 
     n_tokens: int
@@ -48,6 +49,7 @@ class TokenCode:
     members: tuple = field(repr=False, compare=False)
     lo: np.ndarray = field(repr=False, compare=False)
     depth: np.ndarray = field(repr=False, compare=False)
+    branches: tuple = field(repr=False, compare=False)
 
     def node(self, prefix: str) -> int:
         """Node id of a bit prefix, walked down from the root."""
@@ -82,14 +84,16 @@ def _finish(n_tokens, max_bits, mode, codes):
     for t, w in enumerate(codes):
         for j in range(len(w) + 1):
             members[ids[w[:j]]].append(t)
+    child = [(ids.get(b + "0", v), ids.get(b + "1", v)) for v, b in enumerate(prefixes)]
+    leaf = [min(token_of.get(b, -1), n_tokens - 1) for b in prefixes]
     return TokenCode(
         n_tokens, max_bits, mode, tuple(codes),
-        child=np.array([[ids.get(b + "0", v), ids.get(b + "1", v)]
-                        for v, b in enumerate(prefixes)]),
-        leaf=np.array([min(token_of.get(b, -1), n_tokens - 1) for b in prefixes]),
+        child=np.array(child),
+        leaf=np.array(leaf),
         members=tuple(np.array(m, dtype=np.int64) for m in members),
         lo=np.array([sum(0.5 ** (j + 1) for j, c in enumerate(b) if c == "1") for b in prefixes]),
         depth=np.array([len(b) for b in prefixes]),
+        branches=tuple((t, c0, c1) for t, (c0, c1) in zip(leaf, child)),
     )
 
 

@@ -18,7 +18,7 @@ from . import keys as keymod
 from .coding import CODING_MODES, TokenCode, codes_for_lm
 from .keys import PRF_ID, SeedBlock
 from .lm import MarkovLM, apply_temperature, apply_top_p
-from .sampling import SAMPLER_KINDS, sample_bs, sample_its, sample_multinomial
+from .sampling import SAMPLER_KINDS, Row, sample_bs, sample_its, sample_multinomial
 
 
 def watermark_entropy(probs: np.ndarray, token: int) -> float:
@@ -156,7 +156,13 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
              rng: np.random.Generator, code: TokenCode | None = None,
              top_p: float | None = None, temperature: float | None = None,
              rng_seed: int | None = None) -> GenerationResult:
-    """Run the gated generation loop for a budget of ``m`` tokens."""
+    """Run the gated generation loop for a budget of ``m`` tokens.
+
+    Each distinct row the model returns is transformed (temperature, then
+    top-p) and checked once per call, and its sampler tables are reused by
+    every later token drawn from it; the model must not change a row it has
+    returned while the call runs.
+    """
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {sampler!r}")
     if m < 1:
@@ -175,24 +181,30 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     acc = 0.0
     boundary: int | None = None
     keyseq = None
+    rows = {}  # id(model row) -> (model row, Row); the pinned row keeps its id unique
     for _ in range(m):
         probs = lm.context_distribution(context)
-        if temperature is not None:
-            probs = apply_temperature(probs, temperature)
-        if top_p is not None:
-            probs = apply_top_p(probs, top_p)
+        entry = rows.get(id(probs))
+        if entry is None:
+            row = probs
+            if temperature is not None:
+                row = apply_temperature(row, temperature)
+            if top_p is not None:
+                row = apply_top_p(row, top_p)
+            entry = rows[id(probs)] = (probs, Row(row))
+        row = entry[1]
         if boundary is None and acc >= lam:
             boundary = len(tokens)
             if sampler != "multinomial":
                 partial = GenerationResult(tokens, boundary, sampler, salt, lam, m, prompt)
                 keyseq = key_sequence_for(partial, lm.size, code)
         if boundary is None or sampler == "multinomial":
-            tok = sample_multinomial(probs, rng)
-            acc += watermark_entropy(probs, tok)  # only read before the gate closes
+            tok = sample_multinomial(row, rng)
+            acc += watermark_entropy(row.p, tok)  # only read before the gate closes
         elif sampler == "its":
-            tok = sample_its(probs, keyseq.element(len(tokens) - boundary))
+            tok = sample_its(row, keyseq.element(len(tokens) - boundary))
         else:
-            tok = sample_bs(probs, code, keyseq.element(len(tokens) - boundary))
+            tok = sample_bs(row, code, keyseq.element(len(tokens) - boundary))
         tokens.append(tok)
         context.append(tok)
     if boundary is None and acc >= lam:

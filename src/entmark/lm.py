@@ -15,6 +15,9 @@ import numpy as np
 
 DIST_ATOL = 1e-9
 LM_FORMAT = "bigram-lm/1"
+# Bound on N * N * 16, the bytes of a model's count table and its rows,
+# checked before either is allocated (N <= 4096).
+MAX_MODEL_BYTES = 2**28
 
 
 def validate_distribution(probs: np.ndarray) -> np.ndarray:
@@ -22,6 +25,9 @@ def validate_distribution(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a non-empty 1-d vector")
+    # one pass each for the minimum and the sum; a NaN fails both comparisons
+    if np.minimum.reduce(p) >= 0 and abs(np.add.reduce(p) - 1.0) <= DIST_ATOL:
+        return p
     if (p < 0).any():
         raise ValueError("distribution has negative entries")
     total = p.sum()
@@ -72,15 +78,20 @@ class MarkovLM:
     ``counts[a, b]`` is the number of adjacent pairs ``(a, b)`` seen in
     training; ``bos_counts[b]`` counts sequence-initial tokens so that the
     empty context is representable. Immutable after construction, so shared
-    concurrent reads are safe.
+    concurrent reads are safe. ``next_distribution`` returns one read-only
+    view per token, the same object on every call.
     """
 
     def __init__(self, vocab: Vocabulary, counts, bos_counts=None, smoothing: float = 1.0):
         if not 0 < smoothing < np.inf:  # NaN fails too; inf makes every row NaN
             raise ValueError("smoothing must be finite and > 0")
         n = vocab.size
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (n, n) or np.any(counts < 0):
+        _check_model_size(n)
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:  # a count past int64
+            counts = None
+        if counts is None or counts.shape != (n, n) or np.any(counts < 0):
             raise ValueError("counts must be a nonnegative NxN matrix")
         if bos_counts is None:
             bos_counts = np.zeros(n, dtype=np.int64)
@@ -95,8 +106,9 @@ class MarkovLM:
         self.bos_counts.setflags(write=False)
         # rows are consulted once per generated token; precompute them
         num = counts + self.smoothing
-        self._rows = num / num.sum(axis=1, keepdims=True)
-        self._rows.setflags(write=False)
+        rows = num / num.sum(axis=1, keepdims=True)
+        rows.setflags(write=False)
+        self._rows = tuple(rows)
         start = bos_counts + self.smoothing
         self._start_row = start / start.sum()
         self._start_row.setflags(write=False)
@@ -114,7 +126,8 @@ class MarkovLM:
         if len(prefix) == 0:
             raise ValueError("prefix must be non-empty; see start_distribution")
         last = int(prefix[-1])
-        self.vocab.check_ids([last])
+        if not 0 <= last < len(self._rows):  # a negative id would wrap
+            raise ValueError(f"token id {last} out of range 0..{len(self._rows) - 1}")
         return self._rows[last]
 
     def context_distribution(self, prefix) -> np.ndarray:
@@ -212,16 +225,55 @@ def save_lm(lm: MarkovLM, path) -> None:
         fh.write("\n")
 
 
-def load_lm(path) -> MarkovLM:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _check_model_size(n_tokens: int) -> None:
+    """Refuse an N-token model past MAX_MODEL_BYTES before it is built."""
+    if n_tokens * n_tokens * 16 > MAX_MODEL_BYTES:
+        raise ValueError(f"a {n_tokens}-token model is past the {MAX_MODEL_BYTES >> 20} MiB "
+                         f"model limit (N x N counts and rows, 16 bytes a cell)")
+
+
+def _is_counts(value, n: int) -> bool:
+    return type(value) is list and len(value) == n and set(map(type, value)) <= {int}
+
+
+# The fields of a model file: check and expected shape, given the vocabulary
+# size n. Counts must also fit int64, which MarkovLM checks as it converts them.
+_MODEL_FIELDS = {
+    "vocab": (lambda v, n: type(v) is list and set(map(type, v)) <= {str}, "a list of strings"),
+    "smoothing": (lambda v, n: type(v) in (int, float) and 0 < v < np.inf,
+                  "a finite number > 0"),
+    "counts": (lambda v, n: type(v) is list and len(v) == n and all(_is_counts(r, n) for r in v),
+               "an N x N table of integer counts, N the vocabulary size"),
+    "bos_counts": (_is_counts, "a list of N integer counts, N the vocabulary size"),
+}
+
+
+def _check_model(doc) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     if doc.get("format") != LM_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    for name in _MODEL_FIELDS:
+        if name not in doc:
+            raise ValueError(f"model lacks required field {name!r}")
+    n = len(doc["vocab"]) if type(doc["vocab"]) is list else 0
+    for name, (valid, what) in _MODEL_FIELDS.items():
+        if not valid(doc[name], n):
+            raise ValueError(f"model field {name!r} must be {what}")
+
+
+def load_lm(path) -> MarkovLM:
+    """Read a model file; a ValueError names the first missing or malformed
+    field."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _check_model(doc)
     vocab = Vocabulary(tuple(doc["vocab"]))
     return MarkovLM(vocab, doc["counts"], doc["bos_counts"], doc["smoothing"])
 
 
 def _numbered_vocab(n_tokens: int) -> Vocabulary:
+    _check_model_size(n_tokens)  # before a builtin model allocates its counts
     width = len(str(n_tokens - 1))
     return Vocabulary(tuple(f"t{i:0{width}d}" for i in range(n_tokens)))
 

@@ -9,6 +9,11 @@ multinomial sampling is the keyless control. The bit rule is
 
 so that a large uniform pushes the walk toward the high end of the code-order
 CDF, matching the geometry of the inverse-transform rule (large u, late rank).
+
+Each sampler takes either a bare probability array, checked on every call, or
+a ``Row``, checked once when it is built and holding the tables the samplers
+derive from it, so a caller that draws many tokens from the same few rows
+(``generate``) pays for each row once.
 """
 
 import numpy as np
@@ -20,10 +25,48 @@ from .lm import validate_distribution
 SAMPLER_KINDS = ("its", "bs", "multinomial")
 
 
-def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
+class Row:
+    """A checked token distribution and the tables sampling builds from it.
+
+    ``p`` is the distribution, validated once here. The CDF for
+    ``sample_multinomial`` and, per token code, the node masses for the bit
+    walks are filled on first use and reused by every later draw. A row does
+    not copy ``probs``, so the caller must not change it while the row lives.
+    Filling a table is idempotent, so threads sharing a row compute the same
+    values and need no lock.
+    """
+
+    __slots__ = ("p", "_cdf", "_masses")
+
+    def __init__(self, probs):
+        self.p = validate_distribution(probs)
+        self._cdf = None
+        self._masses = {}  # id(code) -> (code, node masses); the code pins its id
+
+    def cdf(self) -> np.ndarray:
+        if self._cdf is None:
+            self._cdf = np.cumsum(self.p)
+        return self._cdf
+
+    def masses(self, code: TokenCode) -> list:
+        """Mass of each node of ``code`` under this row, by node id; a slot is
+        None until a walk fills it with ``prefix_mass``."""
+        entry = self._masses.get(id(code))
+        if entry is None:
+            if self.p.size != code.n_tokens:
+                raise ValueError("distribution size does not match code")
+            entry = self._masses[id(code)] = (code, [None] * len(code.branches))
+        return entry[1]
+
+
+def _row(probs) -> Row:
+    return probs if isinstance(probs, Row) else Row(probs)
+
+
+def sample_its(probs, elem: ItsKeyElement) -> int:
     """First token, in ascending key-rank order, whose cumulative mass
     reaches the key uniform."""
-    p = validate_distribution(probs)
+    p = probs.p if isinstance(probs, Row) else validate_distribution(probs)
     order = elem.order
     if order.shape != p.shape:
         raise ValueError("permutation size does not match distribution")
@@ -32,47 +75,54 @@ def sample_its(probs: np.ndarray, elem: ItsKeyElement) -> int:
     return int(order[min(idx, p.size - 1)])
 
 
-def sample_bs(probs: np.ndarray, code: TokenCode, elem: BsKeyElement) -> int:
+def sample_bs(probs, code: TokenCode, elem: BsKeyElement) -> int:
     """Walk the code tree from the root, one bit per uniform, until a leaf.
 
     Zero-probability branches are never taken: their conditional is 0 or 1,
     which forces the bit regardless of the uniform, so unused bit patterns
     are unreachable.
     """
-    p = validate_distribution(probs)
-    if p.size != code.n_tokens:
-        raise ValueError("distribution size does not match code")
+    row = _row(probs)
+    mass = row.masses(code)
     u = np.asarray(elem.u, dtype=np.float64)
+    branches = code.branches
     v = 0
-    node = prefix_mass(p, code, v)
+    node = mass[0]
+    if node is None:
+        node = mass[0] = prefix_mass(row.p, code, 0)
     for j in range(code.max_bits):
-        if code.leaf[v] >= 0:
+        leaf, zero, one_id = branches[v]
+        if leaf >= 0:
             break
         if j >= u.size:
             raise ValueError("key element has too few uniforms for this code")
-        one = prefix_mass(p, code, code.child[v, 1])
+        one = mass[one_id]
+        if one is None:
+            one = mass[one_id] = prefix_mass(row.p, code, one_id)
         q = one / node
         if u[j] >= 1.0 - q:
-            v, node = code.child[v, 1], one
+            v, node = one_id, one
         else:
-            v, node = code.child[v, 0], node - one
-    return int(code.leaf[v])
+            v, node = zero, node - one
+    return branches[v][0]
 
 
-def sample_bs_many(probs: np.ndarray, code: TokenCode, u: np.ndarray) -> np.ndarray:
+def sample_bs_many(probs, code: TokenCode, u: np.ndarray) -> np.ndarray:
     """Vectorized sample_bs for many key elements.
 
     ``u`` has shape (count, max_bits). Every row walks the code tree one
-    level per column with sample_bs's arithmetic (rows at a leaf stay
-    there), so the two agree element for element.
+    level per column with sample_bs's arithmetic and node masses (rows at a
+    leaf stay there), so the two agree element for element.
     """
-    p = validate_distribution(probs)
-    if p.size != code.n_tokens:
-        raise ValueError("distribution size does not match code")
+    row = _row(probs)
+    masses = row.masses(code)
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     if u.shape[1] < code.max_bits:
         raise ValueError("key elements have too few uniforms for this code")
-    mass = np.array([prefix_mass(p, code, v) for v in range(len(code.members))])
+    for v, m in enumerate(masses):
+        if m is None:
+            masses[v] = prefix_mass(row.p, code, v)
+    mass = np.array(masses)
     v = np.zeros(u.shape[0], dtype=np.int64)
     node = np.full(u.shape[0], mass[0])
     for j in range(code.max_bits):
@@ -83,9 +133,8 @@ def sample_bs_many(probs: np.ndarray, code: TokenCode, u: np.ndarray) -> np.ndar
     return code.leaf[v]
 
 
-def sample_multinomial(probs: np.ndarray, rng: np.random.Generator) -> int:
+def sample_multinomial(probs, rng: np.random.Generator) -> int:
     """Standard inverse-CDF draw with a fresh uniform from ``rng``."""
-    p = validate_distribution(probs)
-    cum = np.cumsum(p)
-    idx = int(np.searchsorted(cum, rng.random(), side="left"))
-    return min(idx, p.size - 1)
+    row = _row(probs)
+    idx = int(row.cdf().searchsorted(rng.random(), side="left"))
+    return min(idx, row.p.size - 1)

@@ -11,8 +11,10 @@ import struct
 
 import numpy as np
 
-from entmark.coding import TokenCode, prefix_mass
-from entmark.lm import validate_distribution
+from entmark.coding import TokenCode, codes_for_lm, prefix_mass
+from entmark.generation import GenerationResult, key_sequence_for, watermark_entropy
+from entmark.lm import apply_temperature, apply_top_p, validate_distribution
+from entmark.sampling import sample_bs, sample_its, sample_multinomial
 
 
 def eta(tokens, n_vocab: int) -> np.ndarray:
@@ -338,3 +340,36 @@ def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
         q1 = prefix_mass(p, code, code.node(bits[:j] + "1")) / node
         prob *= q1 if b == "1" else 1.0 - q1
     return prob
+
+
+def per_token_generate(lm, prompt, lam, m, sampler, salt, rng, code=None,
+                       top_p=None, temperature=None):
+    """Gated generation as a plain per-token loop: every token transforms
+    its row afresh and hands the bare array to the public sampler, which
+    checks it again. Returns (tokens, boundary)."""
+    if sampler == "bs" and code is None:
+        code = codes_for_lm(lm)
+    tokens, acc, boundary, keyseq = [], 0.0, None, None
+    for _ in range(m):
+        probs = lm.context_distribution(list(prompt) + tokens)
+        if temperature is not None:
+            probs = apply_temperature(probs, temperature)
+        if top_p is not None:
+            probs = apply_top_p(probs, top_p)
+        if boundary is None and acc >= lam:
+            boundary = len(tokens)
+            if sampler != "multinomial":
+                partial = GenerationResult(list(tokens), boundary, sampler, salt, lam, m,
+                                           list(prompt))
+                keyseq = key_sequence_for(partial, lm.size, code)
+        if boundary is None or sampler == "multinomial":
+            tok = sample_multinomial(probs, rng)
+            acc += watermark_entropy(probs, tok)
+        elif sampler == "its":
+            tok = sample_its(probs, keyseq.element(len(tokens) - boundary))
+        else:
+            tok = sample_bs(probs, code, keyseq.element(len(tokens) - boundary))
+        tokens.append(tok)
+    if boundary is None and acc >= lam:
+        boundary = len(tokens)
+    return tokens, boundary

@@ -317,6 +317,38 @@ def test_detect_rejects_an_unbounded_m(tmp_path, capsys):
     assert "record field 'm' = 1000000000000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ([], "JSON object"),
+    ({"format": "bigram-lm/1", "smoothing": 1.0, "counts": [[0, 1], [1, 0]],
+      "bos_counts": [1, 0]}, "'vocab'"),
+    ({"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": "x",
+      "counts": [[0, 1], [1, 0]], "bos_counts": [1, 0]}, "'smoothing'"),
+    ({"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": 1.0,
+      "counts": [[0, 1e300], [1, 0]], "bos_counts": [1, 0]}, "'counts'"),
+    ({"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": 1.0,
+      "counts": [[0, 0.5], [1, 0]], "bos_counts": [1, 0]}, "'counts'"),
+    ({"format": "bigram-lm/1", "vocab": [0, 1], "smoothing": 1.0,
+      "counts": [[0, 1], [1, 0]], "bos_counts": [1, 0]}, "'vocab'"),
+])
+def test_malformed_model_file_exits_1(tmp_path, capsys, doc, field):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["generate", "--lm", str(path), "--m", "3",
+                "--out", str(tmp_path / "g.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
+def test_builtin_model_size_is_bounded(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("entmark.lm.MAX_MODEL_BYTES", 16 * 64 * 64)
+    out = str(tmp_path / "g.jsonl")
+    assert run(["generate", "--lm", "uniform:64", "--m", "3", "--out", out]) == 0
+    for name in ("uniform:65", "skewed:65", "peaked:65,0.5"):
+        assert run(["generate", "--lm", name, "--m", "3", "--out", out]) == 1
+        assert "65-token model is past the" in capsys.readouterr().err
+
+
 def test_model_file_named_like_a_builtin(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "corpus.txt").write_text("a b a c b a\n")

@@ -14,6 +14,7 @@ from entmark.keys import SeedBlock
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
                         skewed_lm, uniform_lm)
 from entmark.sampling import sample_multinomial
+from oracles import per_token_generate
 
 
 def test_watermark_entropy():
@@ -91,6 +92,26 @@ def test_post_boundary_determinism_bs():
     res = generate(lm, [], 0.0, 10, "bs", b"fixed", np.random.default_rng(0))
     res2 = generate(lm, [], 0.0, 10, "bs", b"fixed", np.random.default_rng(123))
     assert res.tokens == res2.tokens
+
+
+@pytest.mark.parametrize("sampler,coding", [
+    ("its", "fixed"), ("bs", "fixed"), ("bs", "huffman"), ("multinomial", "fixed")])
+@pytest.mark.parametrize("temperature,top_p", [(None, None), (0.7, None), (None, 0.8),
+                                               (1.6, 0.9)])
+def test_generate_matches_a_per_token_loop(sampler, coding, temperature, top_p):
+    # per-call rows give the tokens and boundary of a loop that checks and
+    # transforms every token's row afresh and samples from the bare array
+    model = skewed_lm(6)
+    code = codes_for_lm(model, coding) if sampler == "bs" else None
+    for seed in range(4):
+        lam = (0.0, 1.0, 3.0, float("inf"))[seed]
+        res = generate(model, [2], lam, 50, sampler, bytes([seed, 7]),
+                       np.random.default_rng(seed), code=code, top_p=top_p,
+                       temperature=temperature)
+        want = per_token_generate(model, [2], lam, 50, sampler, bytes([seed, 7]),
+                                  np.random.default_rng(seed), code=code, top_p=top_p,
+                                  temperature=temperature)
+        assert (res.tokens, res.boundary) == want
 
 
 def test_generate_validation():

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from entmark import lm as lmmod
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p,
                         build_vocabulary, load_lm, peaked_lm, save_lm, skewed_lm,
                         tokenize, train_from_text, train_markov, uniform_lm,
@@ -54,6 +57,19 @@ def test_next_distribution_edges():
     # zero counts, any smoothing -> uniform
     zero = MarkovLM(small_vocab(), np.zeros((2, 2), dtype=np.int64), smoothing=3.7)
     assert np.allclose(zero.next_distribution([1]), [0.5, 0.5])
+
+
+def test_next_distribution_is_one_object_per_token():
+    lm = skewed_lm(5)
+    for t in range(5):
+        row = lm.next_distribution([t])
+        assert lm.next_distribution([3, t]) is row
+        assert lm.context_distribution([t]) is row
+        assert not row.flags.writeable
+    assert lm.context_distribution([]) is lm.start_distribution()
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=rf"^token id {bad} out of range 0\.\.4$"):
+            lm.next_distribution([0, bad])
 
 
 def test_next_distribution_fuzz_valid():
@@ -175,3 +191,53 @@ def test_builtin_lms():
     assert pk.next_distribution([0])[1] == pytest.approx(0.95, abs=0.005)
     with pytest.raises(ValueError):
         peaked_lm(4, 0.1)
+
+
+def _model_doc(**fields):
+    doc = {"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": 1.0,
+           "counts": [[0, 3], [1, 0]], "bos_counts": [2, 0]}
+    doc.update(fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([], "must hold a JSON object"),
+    (_model_doc(format="bigram-lm/0"), "unsupported model format"),
+    ({"format": "bigram-lm/1", "smoothing": 1.0, "counts": [], "bos_counts": []},
+     "lacks required field 'vocab'"),
+    (_model_doc(bos_counts=None), "lacks required field 'bos_counts'"),
+    (_model_doc(vocab=[0, 1]), "field 'vocab' must be a list of strings"),
+    (_model_doc(vocab="ab"), "field 'vocab' must be a list of strings"),
+    (_model_doc(vocab=["a", "a"]), "distinct"),
+    (_model_doc(smoothing="x"), "field 'smoothing' must be a finite number > 0"),
+    (_model_doc(smoothing=True), "field 'smoothing'"),
+    (_model_doc(smoothing=0), "field 'smoothing'"),
+    (_model_doc(counts=[[0, 1e300], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, 0.5], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, True], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, "3"], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, 1], [1]]), "field 'counts' must be"),
+    (_model_doc(counts=[0, 1]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, 2**64], [1, 0]]), "counts must be a nonnegative NxN matrix"),
+    (_model_doc(counts=[[0, -1], [1, 0]]), "counts must be a nonnegative NxN matrix"),
+    (_model_doc(bos_counts=[1, 2, 3]), "field 'bos_counts' must be"),
+    (_model_doc(bos_counts={"a": 1}), "field 'bos_counts' must be"),
+])
+def test_load_lm_names_the_bad_field(tmp_path, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_lm(path)
+
+
+def test_model_size_is_bounded_before_allocation(tmp_path, monkeypatch):
+    monkeypatch.setattr(lmmod, "MAX_MODEL_BYTES", 16 * 64 * 64)
+    assert uniform_lm(64).size == 64
+    for build in (uniform_lm, skewed_lm, lambda n: peaked_lm(n, 0.5)):
+        with pytest.raises(ValueError, match="65-token model is past the"):
+            build(65)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_model_doc(vocab=[f"t{i}" for i in range(65)],
+                                          counts=[[0] * 65] * 65, bos_counts=[0] * 65)))
+    with pytest.raises(ValueError, match="65-token model"):
+        load_lm(path)

@@ -1,7 +1,8 @@
 """Property tests of the CLI's exit-code contract: any record, however
 mangled, makes `detect` and `attack` exit 0, 1 or 2 without a traceback, and
 so does any mangling of the flags of `detect`, `attack` and `generate`, typed
-on the command line or read from a --config file."""
+on the command line or read from a --config file, and any mangling of the
+model file `generate` and `detect` read."""
 
 import contextlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from entmark.cli import main
 from entmark.generation import generate
-from entmark.lm import uniform_lm
+from entmark.lm import save_lm, skewed_lm, uniform_lm
 
 DELETE = object()
 # one value of every JSON type, plus near-misses of the valid shapes
@@ -132,3 +133,53 @@ def test_any_argv_keeps_the_exit_code_contract(argv):
         config.write_text("".join(f"{flag[2:].replace('-', '_')} = {shlex.quote(value)}\n"
                                   for flag, value in zip(argv[1::2], argv[2::2])))
         assert _run([argv[0], "--config", str(config)] + tail, tmp / "out2.jsonl") == (rc, out)
+
+
+def _valid_model():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_lm(skewed_lm(4), path)
+        return json.loads(path.read_text())
+
+
+VALID_MODEL = _valid_model()
+# near-misses of a 4-token model's fields: wrong sizes, non-integer counts,
+# counts past int64, repeated or non-string tokens
+MODEL_VALUES = JSON_VALUES + (
+    1e300, float("nan"), [0, 1, 2, 3], [0.5, 1, 2, 3], [2**64, 0, 0, 0], ["a", "b", "c", "c"],
+    [["x"] * 4] * 4, [[0] * 4] * 3, [[0] * 3] * 4, [[1e300] * 4] * 4, [[True] * 4] * 4,
+    [[2**63] * 4] * 4, [[-1] * 4] * 4)
+
+
+def _mutated_model(mutations):
+    doc = dict(VALID_MODEL)
+    for name, value in mutations:
+        if value is DELETE:
+            doc.pop(name, None)
+        else:
+            doc[name] = value
+    return doc
+
+
+models = st.one_of(
+    st.lists(st.tuples(st.sampled_from(tuple(VALID_MODEL)),
+                       st.one_of(st.just(DELETE), st.sampled_from(MODEL_VALUES))),
+             min_size=1, max_size=2).map(_mutated_model),
+    st.sampled_from(JSON_VALUES),  # a file that is not a model object at all
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(models)
+def test_any_model_file_keeps_the_exit_code_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        model = tmp / "model.json"
+        model.write_text(json.dumps(doc))
+        records = tmp / "in.jsonl"
+        records.write_text(json.dumps(VALID) + "\n")
+        for argv in (["generate", "--lm", str(model), "--m", "3"],
+                     ["detect", "--lm", str(model), "--T", "3", "--k", "8",
+                      "--in", str(records)]):
+            rc, _ = _run(argv, tmp / "out.jsonl")
+            assert rc in (0, 1, 2)

@@ -4,9 +4,9 @@ from scipy import stats
 
 from entmark.coding import build_codes, build_huffman_codes
 from entmark.keys import BsKeyElement, ItsKeyElement
-from entmark.sampling import sample_bs, sample_bs_many, sample_its, sample_multinomial
+from entmark.sampling import Row, sample_bs, sample_bs_many, sample_its, sample_multinomial
 from entmark.keys import derive_its_sequence
-from oracles import argsort_sample_its, bs_law_exact, its_law_grid
+from oracles import argsort_sample_its, bs_law_exact, its_law_grid, scalar_sample_bs
 
 
 def its(u, ranks):
@@ -142,3 +142,55 @@ def test_sample_multinomial():
     assert stats.chisquare(counts, p * draws.size).pvalue > 0.01
     with pytest.raises(ValueError):
         sample_multinomial(np.array([0.5, 0.6]), rng)
+
+
+def _random_row(rng, n):
+    p = rng.dirichlet(np.full(n, 0.5))
+    p[rng.random(n) < 0.3] = 0.0
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    return p / p.sum()
+
+
+def test_row_answers_as_the_bare_array():
+    # a row's lazily filled node masses and CDF give the bare array's draws,
+    # and the scalar oracle's, however the draws are interleaved
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        code = build_huffman_codes(rng.integers(1, 30, size=n)) if trial % 2 else build_codes(n)
+        p = _random_row(rng, n)
+        row = Row(p)
+        u = rng.random((60, code.max_bits))
+        for k, bits in enumerate(u):
+            want = scalar_sample_bs(p, code, bits)
+            assert sample_bs(row, code, BsKeyElement(bits)) == want
+            if k == 20:  # fills the rest of the memo mid-stream
+                assert sample_bs_many(row, code, u).tolist() == sample_bs_many(p, code, u).tolist()
+        elem = ItsKeyElement(float(rng.random()), rng.permutation(n))
+        assert sample_its(row, elem) == sample_its(p, elem)
+        draws = [sample_multinomial(row, np.random.default_rng(trial)) for _ in range(3)]
+        assert draws == [sample_multinomial(p, np.random.default_rng(trial)) for _ in range(3)]
+
+
+def test_row_used_with_two_codes_answers_like_fresh_rows():
+    rng = np.random.default_rng(10)
+    for n in (3, 8, 13):
+        p = _random_row(rng, n)
+        codes = (build_codes(n), build_huffman_codes(rng.integers(1, 9, size=n)))
+        row = Row(p)
+        for bits in rng.random((200, max(c.max_bits for c in codes))):
+            for code in codes:
+                elem = BsKeyElement(bits)
+                assert sample_bs(row, code, elem) == sample_bs(Row(p), code, elem)
+        with pytest.raises(ValueError, match="does not match code"):
+            sample_bs(row, build_codes(n + 1), BsKeyElement(bits))
+
+
+def test_row_is_checked_once_where_it_is_built():
+    with pytest.raises(ValueError, match="negative entries"):
+        Row(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="sums to"):
+        Row(np.array([0.5, 0.6]))
+    row = Row([0.25, 0.75])
+    assert row.p.dtype == np.float64 and row.cdf().tolist() == [0.25, 1.0]
