@@ -9,6 +9,7 @@ Token ids are 0-based integers in ``range(vocab.size)`` everywhere.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +84,12 @@ class MarkovLM:
     """
 
     def __init__(self, vocab: Vocabulary, counts, bos_counts=None, smoothing: float = 1.0):
-        if not 0 < smoothing < np.inf:  # NaN fails too; inf makes every row NaN
+        if not 0 < smoothing <= sys.float_info.max:  # NaN, inf and past-float ints fail
             raise ValueError("smoothing must be finite and > 0")
         n = vocab.size
         _check_model_size(n)
-        try:
-            counts = np.asarray(counts, dtype=np.int64)
-        except OverflowError:  # a count past int64
-            counts = None
-        if counts is None or counts.shape != (n, n) or np.any(counts < 0):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (n, n) or np.any(counts < 0):
             raise ValueError("counts must be a nonnegative NxN matrix")
         if bos_counts is None:
             bos_counts = np.zeros(n, dtype=np.int64)
@@ -233,18 +231,19 @@ def _check_model_size(n_tokens: int) -> None:
 
 
 def _is_counts(value, n: int) -> bool:
-    return type(value) is list and len(value) == n and set(map(type, value)) <= {int}
+    return (type(value) is list and len(value) == n and set(map(type, value)) <= {int}
+            and 0 <= min(value, default=0) and max(value, default=0) < 2**63)
 
 
 # The fields of a model file: check and expected shape, given the vocabulary
-# size n. Counts must also fit int64, which MarkovLM checks as it converts them.
+# size n. A count must fit int64 and the smoothing a float.
 _MODEL_FIELDS = {
     "vocab": (lambda v, n: type(v) is list and set(map(type, v)) <= {str}, "a list of strings"),
-    "smoothing": (lambda v, n: type(v) in (int, float) and 0 < v < np.inf,
+    "smoothing": (lambda v, n: type(v) in (int, float) and 0 < v <= sys.float_info.max,
                   "a finite number > 0"),
     "counts": (lambda v, n: type(v) is list and len(v) == n and all(_is_counts(r, n) for r in v),
-               "an N x N table of integer counts, N the vocabulary size"),
-    "bos_counts": (_is_counts, "a list of N integer counts, N the vocabulary size"),
+               "an N x N table of counts in 0..2**63-1, N the vocabulary size"),
+    "bos_counts": (_is_counts, "a list of N counts in 0..2**63-1, N the vocabulary size"),
 }
 
 

@@ -329,6 +329,10 @@ def test_detect_rejects_an_unbounded_m(tmp_path, capsys):
       "counts": [[0, 0.5], [1, 0]], "bos_counts": [1, 0]}, "'counts'"),
     ({"format": "bigram-lm/1", "vocab": [0, 1], "smoothing": 1.0,
       "counts": [[0, 1], [1, 0]], "bos_counts": [1, 0]}, "'vocab'"),
+    ({"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": 1.0,
+      "counts": [[0, 1], [1, 0]], "bos_counts": [2**64, 0]}, "'bos_counts'"),
+    ({"format": "bigram-lm/1", "vocab": ["a", "b"], "smoothing": 10**400,
+      "counts": [[0, 1], [1, 0]], "bos_counts": [1, 0]}, "'smoothing'"),
 ])
 def test_malformed_model_file_exits_1(tmp_path, capsys, doc, field):
     path = tmp_path / "m.json"

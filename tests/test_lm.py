@@ -147,6 +147,12 @@ def test_temperature():
         apply_temperature(p, 0.0)
 
 
+def test_smoothing_past_a_float_is_refused():
+    # an int past the float range compares below inf but cannot be converted
+    with pytest.raises(ValueError, match="smoothing must be finite and > 0"):
+        MarkovLM(small_vocab(), np.zeros((2, 2), dtype=np.int64), smoothing=10**400)
+
+
 def test_nan_fails_the_checks():
     # NaN compares false both ways, so a check written as "x <= 0" passes it
     nan = float("nan")
@@ -218,8 +224,13 @@ def _model_doc(**fields):
     (_model_doc(counts=[[0, "3"], [1, 0]]), "field 'counts' must be"),
     (_model_doc(counts=[[0, 1], [1]]), "field 'counts' must be"),
     (_model_doc(counts=[0, 1]), "field 'counts' must be"),
-    (_model_doc(counts=[[0, 2**64], [1, 0]]), "counts must be a nonnegative NxN matrix"),
-    (_model_doc(counts=[[0, -1], [1, 0]]), "counts must be a nonnegative NxN matrix"),
+    (_model_doc(counts=[[0, 2**64], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, 2**63], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(counts=[[0, -1], [1, 0]]), "field 'counts' must be"),
+    (_model_doc(bos_counts=[2**64, 0]), "field 'bos_counts' must be"),
+    (_model_doc(bos_counts=[-1, 0]), "field 'bos_counts' must be"),
+    (_model_doc(smoothing=10**400), "field 'smoothing'"),
+    (_model_doc(smoothing=float("inf")), "field 'smoothing'"),
     (_model_doc(bos_counts=[1, 2, 3]), "field 'bos_counts' must be"),
     (_model_doc(bos_counts={"a": 1}), "field 'bos_counts' must be"),
 ])

@@ -148,7 +148,7 @@ VALID_MODEL = _valid_model()
 MODEL_VALUES = JSON_VALUES + (
     1e300, float("nan"), [0, 1, 2, 3], [0.5, 1, 2, 3], [2**64, 0, 0, 0], ["a", "b", "c", "c"],
     [["x"] * 4] * 4, [[0] * 4] * 3, [[0] * 3] * 4, [[1e300] * 4] * 4, [[True] * 4] * 4,
-    [[2**63] * 4] * 4, [[-1] * 4] * 4)
+    [[2**63] * 4] * 4, [[-1] * 4] * 4, 10**400)
 
 
 def _mutated_model(mutations):

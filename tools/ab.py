@@ -2,18 +2,18 @@
 
 Usage (from the repository root):
 
-    python3 tools/ab.py --base REV --head REV --pairs 10 [--seconds 30]
-                        [--workload NAME ...] [--tier1]
+    python3 tools/ab.py --base REV --head REV --pairs 10
 
 Exports both revisions with ``git archive`` into temporary trees and runs
 ``perfbench/run.py --trace 0`` in each, pair by pair: pair i runs every
-workload with seed i in both trees, the base tree first on even pairs and the
-head tree first on odd ones, so a slow drift of the host falls on both sides.
-Writes ``BENCH_<head-sha>.json`` at the repository root with,
-per workload and end-to-end metric, both medians, both interquartile ranges
-and the pairs the head won, plus every run's ``correct`` flag and the host's
-Python, NumPy and ``cryptography`` versions and core count. ``--tier1`` also
-times the Tier-1 suite once in each tree.
+workload ``BENCHMARK.json`` declares, for its ``run_seconds``, with seed i in
+both trees, the base tree first on even pairs and the head tree first on odd
+ones, so a slow drift of the host falls on both sides. Then it times the
+Tier-1 suite once in each tree. Writes ``BENCH_<head-sha>.json`` at the
+repository root with, per workload and end-to-end metric, both medians, both
+interquartile ranges and the pairs the head won, plus every run's ``correct``
+flag, both Tier-1 wall times and the host's Python, NumPy and
+``cryptography`` versions and core count.
 
 Exits 1 if any run is not ``correct`` (or fails outright), 2 if a revision
 cannot be exported.
@@ -114,13 +114,9 @@ def parse_args(argv):
     parser.add_argument("--base", required=True)
     parser.add_argument("--head", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable; default: every declared one)")
-    parser.add_argument("--tier1", action="store_true", help="also time Tier-1 in each tree")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     return args
 
 
@@ -134,7 +130,8 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads(git("show", f"{shas['head']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     runs = {w: {"base": [], "head": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in shas}
@@ -148,15 +145,15 @@ def main(argv=None) -> int:
             sides = ("base", "head") if seed % 2 == 0 else ("head", "base")
             for workload in workloads:
                 for side in sides:
-                    run = bench_once(trees[side], workload, seed, args.seconds)
+                    run = bench_once(trees[side], workload, seed, seconds)
                     runs[workload][side].append({"seed": seed, **run})
                     rate = run["metrics"].get("throughput_ops_s", float("nan"))
                     print(f"pair {seed} {workload} {side}: {rate:.1f} ops/s"
                           f"{'' if run['correct'] else ' NOT CORRECT'}", file=sys.stderr)
-        tier1 = {side: tier1_seconds(tree) for side, tree in trees.items()} if args.tier1 else None
+        tier1 = {side: tier1_seconds(tree) for side, tree in trees.items()}
     report = {
         "base": shas["base"], "head": shas["head"],
-        "method": (f"perfbench/run.py --trace 0, {args.seconds:g} s a run, fresh process per "
+        "method": (f"perfbench/run.py --trace 0, {seconds:g} s a run, fresh process per "
                    f"run, seeds 0..{args.pairs - 1}; pair i runs base first for even i and "
                    f"head first for odd i"),
         "host": host(),
@@ -164,9 +161,8 @@ def main(argv=None) -> int:
                       for w in workloads},
         "all_correct": all(r["correct"] for w in workloads for side in runs[w].values()
                            for r in side),
+        "tier1": tier1,
     }
-    if tier1 is not None:
-        report["tier1"] = tier1
     path = ROOT / f"BENCH_{shas['head']}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     for w in workloads:
