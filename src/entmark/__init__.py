@@ -19,6 +19,6 @@ from .lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, build_voc
                  load_lm, peaked_lm, save_lm, skewed_lm, tokenize, train_from_text,
                  train_markov, uniform_lm)
 from .metrics import RocSummary, auc_score, roc_auc, tpr_at_fpr
-from .sampling import sample_bs, sample_bs_many, sample_its, sample_multinomial
+from .sampling import Row, row_source, sample_bs, sample_bs_many, sample_its, sample_multinomial
 
 __version__ = "0.1.0"

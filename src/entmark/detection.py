@@ -44,7 +44,7 @@ import numpy as np
 from .coding import TokenCode
 from .generation import bounded_key_sequence, watermark_entropy
 from .keys import BsKeySequence, SeedBlock, key_bits, resample_key_sequence
-from .lm import apply_temperature, apply_top_p
+from .sampling import row_source
 
 # The one alignment kernel's name, read by the benchmark's environment report.
 DEFAULT_BACKEND = "python"
@@ -379,20 +379,16 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
 def replay_boundary(lm, tokens, lam: float, prompt=(), top_p: float | None = None,
                     temperature: float | None = None) -> int | None:
     """Where the entropy gate closed along ``tokens`` under ``lm``, each row
-    modified as ``generate`` modifies it: temperature, then top-p."""
+    taken from ``row_source`` as ``generate`` takes it."""
     if not lam >= 0:  # NaN fails too, as in generate
         raise ValueError("entropy threshold must be >= 0")
     if lam == 0:
         return 0
+    rows = row_source(lm, temperature, top_p)
     acc = 0.0
     ctx = list(prompt)
     for i, tok in enumerate(tokens):
-        probs = lm.context_distribution(ctx)
-        if temperature is not None:
-            probs = apply_temperature(probs, temperature)
-        if top_p is not None:
-            probs = apply_top_p(probs, top_p)
-        acc += watermark_entropy(probs, int(tok))
+        acc += watermark_entropy(rows(ctx).p, int(tok))
         ctx.append(int(tok))
         if acc >= lam:
             return i + 1

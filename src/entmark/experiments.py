@@ -22,7 +22,7 @@ from .detection import (DEFAULT_BLOCK, DetectionConfig, detect_pvalue, h_soft, p
 from .generation import GenerationResult, generate, generate_baseline, key_sequence_for
 from .keys import PRF_ID, BsKeyElement, derive_prf_key, resample_key_sequence
 from .lm import MarkovLM, uniform_lm
-from .sampling import sample_bs, sample_bs_many, sample_multinomial
+from .sampling import Row, row_source, sample_bs, sample_bs_many, sample_multinomial
 
 
 @dataclass
@@ -201,17 +201,17 @@ def _bs_blocks(lm, k, reps, rng, code):
     """reps watermarked blocks of length k: (tokens, key u, fresh u)."""
     if _is_uniform(lm):
         u = rng.random((reps * k, code.max_bits))
-        tokens = sample_bs_many(np.full(lm.size, 1.0 / lm.size), code, u)
+        tokens = sample_bs_many(Row(np.full(lm.size, 1.0 / lm.size)), code, u)
         u_fresh = rng.random((reps * k, code.max_bits))
         return tokens.reshape(reps, k), u.reshape(reps, k, -1), u_fresh.reshape(reps, k, -1)
     tokens = np.empty((reps, k), dtype=np.int64)
     u = rng.random((reps, k, code.max_bits))
     u_fresh = rng.random((reps, k, code.max_bits))
+    rows = row_source(lm)
     for r in range(reps):
         ctx = []
         for i in range(k):
-            probs = lm.context_distribution(ctx)
-            tok = sample_bs(probs, code, BsKeyElement(u[r, i]))
+            tok = sample_bs(rows(ctx), code, BsKeyElement(u[r, i]))
             tokens[r, i] = tok
             ctx.append(tok)
     return tokens, u, u_fresh
@@ -430,14 +430,15 @@ def run_error_lower_bound(lm: MarkovLM, c: float, m: int, samples: int,
     rng = np.random.default_rng(seed)
     floor = math.exp(-c)
     vals = np.empty(samples)
+    rows = row_source(lm)
     for i in range(samples):
         ctx = []
         alpha_sum = 0.0
         inside = True
         for _ in range(m):
-            probs = lm.context_distribution(ctx)
-            tok = sample_multinomial(probs, rng)
-            p_tok = float(probs[tok])
+            row = rows(ctx)
+            tok = sample_multinomial(row, rng)
+            p_tok = float(row.p[tok])
             inside = inside and p_tok >= floor
             alpha_sum += 1.0 - p_tok
             ctx.append(tok)

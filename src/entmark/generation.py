@@ -17,8 +17,8 @@ import numpy as np
 from . import keys as keymod
 from .coding import CODING_MODES, TokenCode, codes_for_lm
 from .keys import PRF_ID, SeedBlock
-from .lm import MarkovLM, apply_temperature, apply_top_p
-from .sampling import SAMPLER_KINDS, Row, sample_bs, sample_its, sample_multinomial
+from .lm import MarkovLM
+from .sampling import SAMPLER_KINDS, row_source, sample_bs, sample_its, sample_multinomial
 
 
 def watermark_entropy(probs: np.ndarray, token: int) -> float:
@@ -159,9 +159,8 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     """Run the gated generation loop for a budget of ``m`` tokens.
 
     Each distinct row the model returns is transformed (temperature, then
-    top-p) and checked once per call, and its sampler tables are reused by
-    every later token drawn from it; the model must not change a row it has
-    returned while the call runs.
+    top-p) and checked once per call by ``row_source``, and its sampler
+    tables are reused by every later token drawn from it.
     """
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {sampler!r}")
@@ -181,18 +180,9 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     acc = 0.0
     boundary: int | None = None
     keyseq = None
-    rows = {}  # id(model row) -> (model row, Row); the pinned row keeps its id unique
+    rows = row_source(lm, temperature, top_p)
     for _ in range(m):
-        probs = lm.context_distribution(context)
-        entry = rows.get(id(probs))
-        if entry is None:
-            row = probs
-            if temperature is not None:
-                row = apply_temperature(row, temperature)
-            if top_p is not None:
-                row = apply_top_p(row, top_p)
-            entry = rows[id(probs)] = (probs, Row(row))
-        row = entry[1]
+        row = rows(context)
         if boundary is None and acc >= lam:
             boundary = len(tokens)
             if sampler != "multinomial":

@@ -26,13 +26,11 @@ def validate_distribution(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a non-empty 1-d vector")
-    # one pass each for the minimum and the sum; a NaN fails both comparisons
-    if np.minimum.reduce(p) >= 0 and abs(np.add.reduce(p) - 1.0) <= DIST_ATOL:
-        return p
-    if (p < 0).any():
+    # a valid row costs one pass each for the minimum and the sum; NaN fails the sum
+    if not np.minimum.reduce(p) >= 0 and (p < 0).any():
         raise ValueError("distribution has negative entries")
-    total = p.sum()
-    if not abs(total - 1.0) <= DIST_ATOL:  # a NaN sum fails too
+    total = np.add.reduce(p)
+    if not abs(total - 1.0) <= DIST_ATOL:
         raise ValueError(f"distribution sums to {total!r}, expected 1")
     return p
 

@@ -10,17 +10,17 @@ multinomial sampling is the keyless control. The bit rule is
 so that a large uniform pushes the walk toward the high end of the code-order
 CDF, matching the geometry of the inverse-transform rule (large u, late rank).
 
-Each sampler takes either a bare probability array, checked on every call, or
-a ``Row``, checked once when it is built and holding the tables the samplers
-derive from it, so a caller that draws many tokens from the same few rows
-(``generate``) pays for each row once.
+Each sampler takes a ``Row``, a distribution checked once when it is built
+that holds the tables the samplers derive from it, so a caller drawing many
+tokens from the same few rows pays for each row once. ``row_source`` is the
+one place a model's rows are transformed (temperature, then top-p) into rows.
 """
 
 import numpy as np
 
 from .coding import TokenCode, prefix_mass
 from .keys import BsKeyElement, ItsKeyElement
-from .lm import validate_distribution
+from .lm import apply_temperature, apply_top_p, validate_distribution
 
 SAMPLER_KINDS = ("its", "bs", "multinomial")
 
@@ -59,14 +59,30 @@ class Row:
         return entry[1]
 
 
-def _row(probs) -> Row:
-    return probs if isinstance(probs, Row) else Row(probs)
+def row_source(lm, temperature: float | None = None, top_p: float | None = None):
+    """``row_of(context)``: the ``Row`` of ``lm``'s next-token distribution
+    after ``context``, temperature then top-p applied, built once per distinct
+    model row and returned for it from then on; the model must not change a
+    row it has returned while ``row_of`` is in use."""
+    rows = {}  # id(model row) -> (model row, Row); the pinned row keeps its id unique
+
+    def row_of(context) -> Row:
+        probs = lm.context_distribution(context)
+        entry = rows.get(id(probs))
+        if entry is None:
+            p = probs if temperature is None else apply_temperature(probs, temperature)
+            if top_p is not None:
+                p = apply_top_p(p, top_p)
+            entry = rows[id(probs)] = (probs, Row(p))
+        return entry[1]
+
+    return row_of
 
 
-def sample_its(probs, elem: ItsKeyElement) -> int:
+def sample_its(row: Row, elem: ItsKeyElement) -> int:
     """First token, in ascending key-rank order, whose cumulative mass
     reaches the key uniform."""
-    p = probs.p if isinstance(probs, Row) else validate_distribution(probs)
+    p = row.p
     order = elem.order
     if order.shape != p.shape:
         raise ValueError("permutation size does not match distribution")
@@ -75,14 +91,13 @@ def sample_its(probs, elem: ItsKeyElement) -> int:
     return int(order[min(idx, p.size - 1)])
 
 
-def sample_bs(probs, code: TokenCode, elem: BsKeyElement) -> int:
+def sample_bs(row: Row, code: TokenCode, elem: BsKeyElement) -> int:
     """Walk the code tree from the root, one bit per uniform, until a leaf.
 
     Zero-probability branches are never taken: their conditional is 0 or 1,
     which forces the bit regardless of the uniform, so unused bit patterns
     are unreachable.
     """
-    row = _row(probs)
     mass = row.masses(code)
     u = np.asarray(elem.u, dtype=np.float64)
     branches = code.branches
@@ -107,14 +122,13 @@ def sample_bs(probs, code: TokenCode, elem: BsKeyElement) -> int:
     return branches[v][0]
 
 
-def sample_bs_many(probs, code: TokenCode, u: np.ndarray) -> np.ndarray:
+def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
     """Vectorized sample_bs for many key elements.
 
     ``u`` has shape (count, max_bits). Every row walks the code tree one
     level per column with sample_bs's arithmetic and node masses (rows at a
     leaf stay there), so the two agree element for element.
     """
-    row = _row(probs)
     masses = row.masses(code)
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     if u.shape[1] < code.max_bits:
@@ -133,8 +147,7 @@ def sample_bs_many(probs, code: TokenCode, u: np.ndarray) -> np.ndarray:
     return code.leaf[v]
 
 
-def sample_multinomial(probs, rng: np.random.Generator) -> int:
+def sample_multinomial(row: Row, rng: np.random.Generator) -> int:
     """Standard inverse-CDF draw with a fresh uniform from ``rng``."""
-    row = _row(probs)
     idx = int(row.cdf().searchsorted(rng.random(), side="left"))
     return min(idx, row.p.size - 1)

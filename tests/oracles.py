@@ -14,7 +14,7 @@ import numpy as np
 from entmark.coding import TokenCode, codes_for_lm, prefix_mass
 from entmark.generation import GenerationResult, key_sequence_for, watermark_entropy
 from entmark.lm import apply_temperature, apply_top_p, validate_distribution
-from entmark.sampling import sample_bs, sample_its, sample_multinomial
+from entmark.sampling import Row, sample_bs, sample_its, sample_multinomial
 
 
 def eta(tokens, n_vocab: int) -> np.ndarray:
@@ -345,8 +345,8 @@ def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
 def per_token_generate(lm, prompt, lam, m, sampler, salt, rng, code=None,
                        top_p=None, temperature=None):
     """Gated generation as a plain per-token loop: every token transforms
-    its row afresh and hands the bare array to the public sampler, which
-    checks it again. Returns (tokens, boundary)."""
+    its row afresh and hands a fresh ``Row``, checked again, to the public
+    sampler. Returns (tokens, boundary)."""
     if sampler == "bs" and code is None:
         code = codes_for_lm(lm)
     tokens, acc, boundary, keyseq = [], 0.0, None, None
@@ -356,6 +356,7 @@ def per_token_generate(lm, prompt, lam, m, sampler, salt, rng, code=None,
             probs = apply_temperature(probs, temperature)
         if top_p is not None:
             probs = apply_top_p(probs, top_p)
+        row = Row(probs)
         if boundary is None and acc >= lam:
             boundary = len(tokens)
             if sampler != "multinomial":
@@ -363,12 +364,12 @@ def per_token_generate(lm, prompt, lam, m, sampler, salt, rng, code=None,
                                            list(prompt))
                 keyseq = key_sequence_for(partial, lm.size, code)
         if boundary is None or sampler == "multinomial":
-            tok = sample_multinomial(probs, rng)
+            tok = sample_multinomial(row, rng)
             acc += watermark_entropy(probs, tok)
         elif sampler == "its":
-            tok = sample_its(probs, keyseq.element(len(tokens) - boundary))
+            tok = sample_its(row, keyseq.element(len(tokens) - boundary))
         else:
-            tok = sample_bs(probs, code, keyseq.element(len(tokens) - boundary))
+            tok = sample_bs(row, code, keyseq.element(len(tokens) - boundary))
         tokens.append(tok)
     if boundary is None and acc >= lam:
         boundary = len(tokens)

@@ -20,7 +20,7 @@ from entmark.coding import build_codes
 from entmark.generation import generate
 from entmark.keys import BsKeyElement, ItsKeyElement
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
-from entmark.sampling import sample_bs, sample_its
+from entmark.sampling import Row, sample_bs, sample_its
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,13 +46,14 @@ def test_criterion_01_distribution_preservation():
     grid = (np.arange(10_000) + 0.5) / 10_000
     for n in (2, 3, 4, 5):
         for p in _dirichlet_dists(n, rng):
+            row = Row(p)
             law = np.zeros(n)
             n_perm = 0
             for order in itertools.permutations(range(n)):
                 ranks = np.empty(n, dtype=np.int64)
                 ranks[list(order)] = np.arange(n)
                 for u in grid:
-                    law[sample_its(p, ItsKeyElement(float(u), ranks))] += 1.0
+                    law[sample_its(row, ItsKeyElement(float(u), ranks))] += 1.0
                 n_perm += 1
             law /= n_perm * grid.size
             worst_its = max(worst_its, float(np.abs(law - p).sum() / 2))
@@ -63,10 +64,11 @@ def test_criterion_01_distribution_preservation():
     for n in (2, 3, 4, 5):
         code = build_codes(n)
         for p in _dirichlet_dists(n, rng):
+            row = Row(p)
             law = np.zeros(n)
 
             def bit_of(u_vec, j):
-                tok = sample_bs(p, code, BsKeyElement(np.asarray(u_vec)))
+                tok = sample_bs(row, code, BsKeyElement(np.asarray(u_vec)))
                 return code.encode(tok)[j]
 
             def walk(prefix_forcers, prefix, measure):

@@ -8,7 +8,7 @@ from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan,
 from entmark.generation import generate, key_sequence_for
 from entmark.keys import SeedBlock, derive_key_sequence, resample_key_sequence
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
-from entmark.sampling import sample_bs_many
+from entmark.sampling import Row, sample_bs_many
 from oracles import (brute_min_block_cost, cost_bs, cost_its, eta, grid_costs,
                      scalar_min_block_cost)
 
@@ -50,8 +50,7 @@ def test_h_soft_uniform_and_interval():
     assert abs(h.mean() - 0.5) <= 3 * h.std() / np.sqrt(h.size)
     # under a uniform model the soft value lands inside the CDF interval of
     # the very token those uniforms sample
-    probs = np.full(8, 1 / 8)
-    toks = sample_bs_many(probs, code, u)
+    toks = sample_bs_many(Row(np.full(8, 1 / 8)), code, u)
     assert np.all((h >= toks / 8) & (h < (toks + 1) / 8))
 
 

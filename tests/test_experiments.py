@@ -135,3 +135,31 @@ def test_experiment_record_serialization():
     assert doc["experiment"] == "covariance-gap"
     assert "prf_id" in doc and "seed" in doc
     assert isinstance(rec.to_json(), str)
+
+
+# Records of the experiments that walk a model token by token, pinned byte for
+# byte: hoeffding on a non-uniform model (the per-token bs walk), the error
+# floor on a skewed model with a gate (the multinomial walk) and the
+# covariance gap (the uniform model's vectorised bs draw).
+PINNED_RECORDS = (
+    (lambda: ex.run_hoeffding_bound(peaked_lm(8, 0.4), (5, 20), 200, seed=21),
+     '{"experiment": "hoeffding-block-bound", "config": {"n_vocab": 8, "k_values": [5, 20], '
+     '"reps": 200}, "metrics": {"5": 0.14, "20": 0.01}, "bounds": {"5": 1.958285389513369, '
+     '"20": 1.866074786984631}, "passed": true, "seed": 21, "prf_id": "sha256-chacha20/53"}'),
+    (lambda: ex.run_error_lower_bound(skewed_lm(8), 2.5, 4, 200, seed=22, lam=3.3),
+     '{"experiment": "error-lower-bound", "config": {"c": 2.5, "m": 4, "samples": 200, '
+     '"lambda": 3.3, "n_vocab": 8}, "metrics": {"estimate": 9.722141619788965e-05, '
+     '"se": 7.821194099916722e-06}, "bounds": {}, "passed": null, "seed": 22, '
+     '"prf_id": "sha256-chacha20/53"}'),
+    (lambda: ex.run_covariance_gap(4, 20, 200, seed=23),
+     '{"experiment": "covariance-gap", "config": {"n_vocab": 4, "m": 20, "reps": 200}, '
+     '"metrics": {"gap": 2.090404954758613, "se": 0.042132050773015024, '
+     '"deviation_sigmas": 0.16784422537080068}, "bounds": {"closed_form": 2.083333333333333}, '
+     '"passed": true, "seed": 23, "prf_id": "sha256-chacha20/53"}'),
+)
+
+
+@pytest.mark.parametrize("run, want", PINNED_RECORDS,
+                         ids=("hoeffding", "error-floor", "covariance-gap"))
+def test_per_token_walk_records_are_pinned(run, want):
+    assert run().to_json() == want

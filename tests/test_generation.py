@@ -13,7 +13,7 @@ from entmark.generation import (MAX_KEY_BYTES, GenerationResult, generate, gener
 from entmark.keys import SeedBlock
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
                         skewed_lm, uniform_lm)
-from entmark.sampling import sample_multinomial
+from entmark.sampling import Row, sample_multinomial
 from oracles import per_token_generate
 
 
@@ -171,7 +171,7 @@ def test_generate_baseline_is_a_plain_multinomial_rollout():
                 probs = apply_temperature(probs, kw["temperature"])
             if "top_p" in kw:
                 probs = apply_top_p(probs, kw["top_p"])
-            want.append(sample_multinomial(probs, rng_b))
+            want.append(sample_multinomial(Row(probs), rng_b))
         assert got == want
         assert rng_a.random() == rng_b.random()  # same number of draws
 

@@ -1,10 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from entmark import sampling
 from entmark.coding import build_codes, build_huffman_codes
+from entmark.detection import replay_boundary
 from entmark.keys import BsKeyElement, ItsKeyElement
-from entmark.sampling import Row, sample_bs, sample_bs_many, sample_its, sample_multinomial
+from entmark.lm import apply_temperature, apply_top_p, peaked_lm
+from entmark.sampling import (Row, row_source, sample_bs, sample_bs_many, sample_its,
+                              sample_multinomial)
 from entmark.keys import derive_its_sequence
 from oracles import argsort_sample_its, bs_law_exact, its_law_grid, scalar_sample_bs
 
@@ -14,17 +20,17 @@ def its(u, ranks):
 
 
 def test_sample_its_examples():
-    p = np.array([0.2, 0.5, 0.3])
+    p = Row(np.array([0.2, 0.5, 0.3]))
     # identity permutation, CDF read-off
     assert sample_its(p, its(0.1, [0, 1, 2])) == 0
     # ranks: token0->1, token1->2, token2->0; rank order t2(.3), t0(.5), t1(1.0)
     assert sample_its(p, its(0.45, [1, 2, 0])) == 0
-    assert sample_its(np.array([0.0, 1.0, 0.0]), its(0.99, [2, 0, 1])) == 1
-    assert sample_its(np.array([0.0, 1.0, 0.0]), its(0.0, [2, 0, 1])) == 1
+    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), its(0.99, [2, 0, 1])) == 1
+    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), its(0.0, [2, 0, 1])) == 1
 
 
 def test_sample_its_boundaries():
-    p = np.array([0.25, 0.75])
+    p = Row(np.array([0.25, 0.75]))
     # u = 0 selects the first token in rank order
     assert sample_its(p, its(0.0, [0, 1])) == 0
     # cumulative 'reaches u' is inclusive
@@ -41,7 +47,7 @@ def test_sample_its_rank_monotone_in_u():
         p = rng.dirichlet(np.ones(n))
         ranks = np.argsort(rng.random(n))
         us = np.sort(rng.random(40))
-        picked_ranks = [ranks[sample_its(p, its(float(u), ranks))] for u in us]
+        picked_ranks = [ranks[sample_its(Row(p), its(float(u), ranks))] for u in us]
         assert all(a <= b for a, b in zip(picked_ranks, picked_ranks[1:]))
 
 
@@ -58,22 +64,22 @@ def test_sample_its_matches_per_call_argsort():
             tied = rng.integers(n, size=n)
             for u in (0.0, float(rng.random()), 1.0 - 2**-53):
                 for r in (ranks, tied, ranks.tolist()):
-                    assert sample_its(p, ItsKeyElement(u, r)) == argsort_sample_its(p, u, r)
+                    assert sample_its(Row(p), ItsKeyElement(u, r)) == argsort_sample_its(p, u, r)
     seq = derive_its_sequence(bytes(range(32)), 40, 8)
     p = rng.dirichlet(np.ones(8))
     for i in range(seq.n):
-        assert sample_its(p, seq.element(i)) == argsort_sample_its(p, seq.u[i], seq.ranks[i])
+        assert sample_its(Row(p), seq.element(i)) == argsort_sample_its(p, seq.u[i], seq.ranks[i])
 
 
 def test_sample_bs_examples():
     # bit rule: bit = 1 iff u >= 1 - P(bit=1 | prefix)
     code = build_codes(4)
-    p = np.array([0.1, 0.2, 0.3, 0.4])
+    p = Row(np.array([0.1, 0.2, 0.3, 0.4]))
     # bit1: q=0.7, 0.5 >= 0.3 -> 1; bit2: q=4/7, 0.6 >= 3/7 -> 1 -> "11"
     assert sample_bs(p, code, BsKeyElement(np.array([0.5, 0.6]))) == 3
-    assert sample_bs(np.array([1.0, 0, 0, 0]), code, BsKeyElement(np.array([0.9, 0.9]))) == 0
+    assert sample_bs(Row(np.array([1.0, 0, 0, 0])), code, BsKeyElement(np.array([0.9, 0.9]))) == 0
     two = build_codes(2)
-    half = np.array([0.5, 0.5])
+    half = Row(np.array([0.5, 0.5]))
     assert sample_bs(half, two, BsKeyElement(np.array([0.49]))) == 0
     assert sample_bs(half, two, BsKeyElement(np.array([0.51]))) == 1
 
@@ -82,11 +88,11 @@ def test_sample_bs_never_unused_pattern():
     code = build_codes(3)
     rng = np.random.default_rng(1)
     for _ in range(200):
-        p = rng.dirichlet(np.ones(3))
+        p = Row(rng.dirichlet(np.ones(3)))
         tok = sample_bs(p, code, BsKeyElement(rng.random(2)))
         assert tok in (0, 1, 2)
     # zero-mass tokens are never produced either
-    p = np.array([0.0, 0.6, 0.4])
+    p = Row(np.array([0.0, 0.6, 0.4]))
     for _ in range(100):
         assert sample_bs(p, code, BsKeyElement(rng.random(2))) != 0
 
@@ -95,7 +101,8 @@ def test_sample_bs_huffman_mode():
     code = build_huffman_codes([8, 4, 2, 1])
     rng = np.random.default_rng(2)
     p = np.array([0.5, 0.25, 0.2, 0.05])
-    toks = [sample_bs(p, code, BsKeyElement(rng.random(code.max_bits))) for _ in range(4000)]
+    row = Row(p)
+    toks = [sample_bs(row, code, BsKeyElement(rng.random(code.max_bits))) for _ in range(4000)]
     counts = np.bincount(toks, minlength=4)
     assert stats.chisquare(counts, p * len(toks)).pvalue > 0.01
 
@@ -108,8 +115,8 @@ def test_sample_bs_many_matches_scalar():
         n = code.n_tokens
         p = rng.dirichlet(np.ones(n))
         u = rng.random((500, code.max_bits))
-        vec = sample_bs_many(p, code, u)
-        scal = [sample_bs(p, code, BsKeyElement(row)) for row in u]
+        vec = sample_bs_many(Row(p), code, u)
+        scal = [sample_bs(Row(p), code, BsKeyElement(row)) for row in u]
         assert np.array_equal(vec, scal)
 
 
@@ -119,8 +126,9 @@ def test_preservation_quick():
     rng = np.random.default_rng(4)
 
     def sampler(p, ranks, us):
+        row = Row(p)
         for u in us:
-            yield sample_its(p, ItsKeyElement(float(u), ranks)), 1.0 / us.size
+            yield sample_its(row, ItsKeyElement(float(u), ranks)), 1.0 / us.size
 
     for n in (2, 3):
         p = rng.dirichlet(np.ones(n))
@@ -135,13 +143,14 @@ def test_preservation_quick():
 
 def test_sample_multinomial():
     rng = np.random.default_rng(5)
-    assert sample_multinomial(np.array([0.0, 1.0, 0.0]), rng) == 1
+    assert sample_multinomial(Row(np.array([0.0, 1.0, 0.0])), rng) == 1
     p = np.array([0.2, 0.3, 0.5])
-    draws = np.array([sample_multinomial(p, rng) for _ in range(100_000)])
+    row = Row(p)
+    draws = np.array([sample_multinomial(row, rng) for _ in range(100_000)])
     counts = np.bincount(draws, minlength=3)
     assert stats.chisquare(counts, p * draws.size).pvalue > 0.01
     with pytest.raises(ValueError):
-        sample_multinomial(np.array([0.5, 0.6]), rng)
+        sample_multinomial(Row(np.array([0.5, 0.6])), rng)
 
 
 def _random_row(rng, n):
@@ -152,9 +161,10 @@ def _random_row(rng, n):
     return p / p.sum()
 
 
-def test_row_answers_as_the_bare_array():
-    # a row's lazily filled node masses and CDF give the bare array's draws,
-    # and the scalar oracle's, however the draws are interleaved
+def test_reused_row_answers_as_fresh_rows():
+    # a reused row's lazily filled node masses and CDF give the draws of a
+    # fresh row built for each draw, and the scalar oracles', however the
+    # draws are interleaved
     rng = np.random.default_rng(9)
     for trial in range(40):
         n = int(rng.integers(2, 40))
@@ -165,12 +175,15 @@ def test_row_answers_as_the_bare_array():
         for k, bits in enumerate(u):
             want = scalar_sample_bs(p, code, bits)
             assert sample_bs(row, code, BsKeyElement(bits)) == want
+            assert sample_bs(Row(p), code, BsKeyElement(bits)) == want
             if k == 20:  # fills the rest of the memo mid-stream
-                assert sample_bs_many(row, code, u).tolist() == sample_bs_many(p, code, u).tolist()
+                fresh = sample_bs_many(Row(p), code, u).tolist()
+                assert sample_bs_many(row, code, u).tolist() == fresh
         elem = ItsKeyElement(float(rng.random()), rng.permutation(n))
-        assert sample_its(row, elem) == sample_its(p, elem)
+        want = argsort_sample_its(p, elem.u, elem.ranks)
+        assert sample_its(row, elem) == sample_its(Row(p), elem) == want
         draws = [sample_multinomial(row, np.random.default_rng(trial)) for _ in range(3)]
-        assert draws == [sample_multinomial(p, np.random.default_rng(trial)) for _ in range(3)]
+        assert draws == [sample_multinomial(Row(p), np.random.default_rng(trial)) for _ in range(3)]
 
 
 def test_row_used_with_two_codes_answers_like_fresh_rows():
@@ -194,3 +207,36 @@ def test_row_is_checked_once_where_it_is_built():
         Row(np.array([0.5, 0.6]))
     row = Row([0.25, 0.75])
     assert row.p.dtype == np.float64 and row.cdf().tolist() == [0.25, 1.0]
+
+
+def _count_row_work(monkeypatch):
+    """Count the calls row_source makes to transform and check a row."""
+    calls = Counter()
+    for name in ("apply_temperature", "apply_top_p", "validate_distribution"):
+        def counted(*args, _name=name, _fn=getattr(sampling, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sampling, name, counted)
+    return calls
+
+
+def test_row_source_builds_one_row_per_model_row(monkeypatch):
+    calls = _count_row_work(monkeypatch)
+    lm = peaked_lm(8, 0.4)
+    rows = row_source(lm, temperature=0.7, top_p=0.9)
+    got = [rows(ctx) for ctx in ([], [3], [1, 3], [5], [2, 3], [])]
+    assert got[1] is got[2] is got[4] and got[0] is got[5]
+    assert len({id(row) for row in got}) == 3  # the start row, after 3, after 5
+    assert calls == {"apply_temperature": 3, "apply_top_p": 3, "validate_distribution": 3}
+    want = apply_top_p(apply_temperature(lm.next_distribution([3]), 0.7), 0.9)
+    assert got[1].p.tobytes() == want.tobytes()
+    assert row_source(lm)([3]).p is lm.next_distribution([3])  # no flags, no copy
+
+
+def test_replay_boundary_checks_each_model_row_once(monkeypatch):
+    calls = _count_row_work(monkeypatch)
+    lm = peaked_lm(8, 0.4)
+    # rows read: the start row, then after 3, 3, 5, 3, 5: three distinct rows
+    tokens = [3, 3, 5, 3, 5, 1]
+    assert replay_boundary(lm, tokens, float("inf"), top_p=0.9, temperature=0.7) is None
+    assert calls == {"apply_temperature": 3, "apply_top_p": 3, "validate_distribution": 3}

@@ -12,8 +12,9 @@ ones, so a slow drift of the host falls on both sides. Then it times the
 Tier-1 suite once in each tree. Writes ``BENCH_<head-sha>.json`` at the
 repository root with, per workload and end-to-end metric, both medians, both
 interquartile ranges and the pairs the head won, plus every run's ``correct``
-flag, both Tier-1 wall times and the host's Python, NumPy and
-``cryptography`` versions and core count.
+flag, both Tier-1 wall times, both trees' ``src/entmark/*.py`` line counts
+and their difference, and the host's Python, NumPy and ``cryptography``
+versions and core count.
 
 Exits 1 if any run is not ``correct`` (or fails outright), 2 if a revision
 cannot be exported.
@@ -69,6 +70,11 @@ def tier1_seconds(tree: Path) -> dict:
                           cwd=tree, env=env, capture_output=True, text=True)
     summary = (proc.stdout.strip().splitlines() or [""])[-1]
     return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode, "summary": summary}
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the tree's ``src/entmark/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "entmark").glob("*.py"))
 
 
 def quartiles(values) -> tuple:
@@ -151,6 +157,7 @@ def main(argv=None) -> int:
                     print(f"pair {seed} {workload} {side}: {rate:.1f} ops/s"
                           f"{'' if run['correct'] else ' NOT CORRECT'}", file=sys.stderr)
         tier1 = {side: tier1_seconds(tree) for side, tree in trees.items()}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
     report = {
         "base": shas["base"], "head": shas["head"],
         "method": (f"perfbench/run.py --trace 0, {seconds:g} s a run, fresh process per "
@@ -162,6 +169,7 @@ def main(argv=None) -> int:
         "all_correct": all(r["correct"] for w in workloads for side in runs[w].values()
                            for r in side),
         "tier1": tier1,
+        "src_lines": {**lines, "change": lines["head"] - lines["base"]},
     }
     path = ROOT / f"BENCH_{shas['head']}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
@@ -170,6 +178,8 @@ def main(argv=None) -> int:
             print(f"{w:16s} {name:18s} {m['base_median']:12.4g} -> {m['head_median']:12.4g} "
                   f"(IQR {m['base_iqr']:.3g} / {m['head_iqr']:.3g}; head better in "
                   f"{m['head_wins']}/{m['pairs']})")
+    print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
+          f"({lines['head'] - lines['base']:+d})")
     print(f"wrote {path}")
     return 0 if report["all_correct"] else 1
 
