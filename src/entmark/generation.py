@@ -30,11 +30,12 @@ def watermark_entropy(probs: np.ndarray, token: int) -> float:
     return float(1.0 - p[token])
 
 
-# Bound on n * N * 8, the bytes of an its key's rank table (and more than a bs
-# key's n * L uniforms take). Deriving an its key peaks at ~4x its rank table
-# (67 MB for the 16 MB of n = 8000, N = 256), so a key at this limit needs
-# ~512 MiB of working memory while it is derived; the key then holds 2x, its
-# rank table and the token order it was shuffled into.
+# Bound on n * N * 8, the bytes of an its key's token order (and more than a
+# bs key's n * L uniforms take). Deriving an its key peaks at ~2x its order,
+# the key stream's slots and the order itself (34 MB for the 16 MB of
+# n = 8000, N = 256, by tracemalloc), so a key at this limit needs ~256 MiB
+# of working memory while it is derived. The key then holds 1x, its order,
+# and 2x once detection builds the rank table.
 MAX_KEY_BYTES = 2**27
 
 

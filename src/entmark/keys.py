@@ -123,18 +123,24 @@ def key_bits(n_vocab: int, code=None) -> int:
     return code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
 
 
-@dataclass(frozen=True)
 class ItsKeyElement:
-    """One inverse-transform key element: a uniform and a token-rank map,
-    with the tokens in rank order (``ranks.argsort()`` unless given)."""
+    """One inverse-transform key element: a uniform, a token-rank map, and
+    the tokens in rank order (``ranks.argsort()`` unless given). ``ranks``
+    may be None when ``order`` is given; it is then ``order``'s inverse,
+    made on first use."""
 
-    u: float
-    ranks: np.ndarray  # ranks[token id] = 0-based rank
-    order: np.ndarray | None = None  # order[rank] = token id
+    __slots__ = ("u", "order", "_ranks")
 
-    def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", np.asarray(self.ranks).argsort())
+    def __init__(self, u: float, ranks, order: np.ndarray | None = None):
+        self.u = u
+        self._ranks = ranks  # ranks[token id] = 0-based rank
+        self.order = np.asarray(ranks).argsort() if order is None else order  # order[rank] = token
+
+    @property
+    def ranks(self) -> np.ndarray:
+        if self._ranks is None:
+            self._ranks = _inverse(self.order)
+        return self._ranks
 
 
 @dataclass(frozen=True)
@@ -145,26 +151,33 @@ class BsKeyElement:
 
 
 class ItsKeySequence:
+    """Inverse-transform key elements, one row each: the uniforms ``u`` and
+    two (n, N) int64 maps, ``ranks`` (token -> rank) and ``order`` (rank ->
+    token), each the other's row-wise inverse. A sequence holds one map and
+    computes the other on first use: derived keys keep the Fisher-Yates
+    order, which generation reads, and build ranks only when detection asks.
+    Racing threads compute the same array, so neither cache needs a lock."""
+
     kind = "its"
 
     def __init__(self, u: np.ndarray, ranks: np.ndarray):
         self.u = np.asarray(u, dtype=np.float64)
-        self.ranks = np.asarray(ranks, dtype=np.int64)
-        if self.ranks.ndim != 2 or self.ranks.shape[:1] != self.u.shape:
+        self._ranks = np.asarray(ranks, dtype=np.int64)
+        if self._ranks.ndim != 2 or self._ranks.shape[:1] != self.u.shape:
             raise ValueError("mismatched key arrays")
         # checked once here, so the detection cost can gather ranks unchecked
-        if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.n_vocab):
+        if self._ranks.size and (self._ranks.min() < 0 or self._ranks.max() >= self.n_vocab):
             raise ValueError(f"key rank out of range 0..{self.n_vocab - 1}")
         self._order = None
 
     @classmethod
-    def _of_permutations(cls, u: np.ndarray, ranks: np.ndarray,
+    def _of_permutations(cls, u: np.ndarray, ranks: np.ndarray | None = None,
                          order: np.ndarray | None = None) -> "ItsKeySequence":
-        """Wrap float64 ``u`` and int64 ``ranks`` whose rows are permutations,
-        so in range by construction, without the range scan; ``order``, if
-        known, is the rows' inverse."""
+        """Wrap float64 ``u`` and int64 ``ranks`` or ``order`` (or both)
+        whose rows are permutations, so in range by construction, without
+        the range scan."""
         seq = cls.__new__(cls)
-        seq.u, seq.ranks, seq._order = u, ranks, order
+        seq.u, seq._ranks, seq._order = u, ranks, order
         return seq
 
     @property
@@ -173,19 +186,26 @@ class ItsKeySequence:
 
     @property
     def n_vocab(self) -> int:
-        return self.ranks.shape[1]
+        return (self._order if self._ranks is None else self._ranks).shape[1]
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """Each token's rank per row, ``order``'s inverse unless given."""
+        if self._ranks is None:
+            self._ranks = _inverse(self._order)
+        return self._ranks
 
     @property
     def order(self) -> np.ndarray:
-        """Tokens in rank order per row, ``ranks.argsort(axis=1)``; computed
-        on first use unless derivation kept it. Racing threads compute the
-        same array, so the cache needs no lock."""
+        """Tokens in rank order per row, ``ranks.argsort(axis=1)`` unless
+        given."""
         if self._order is None:
-            self._order = self.ranks.argsort(axis=1)
+            self._order = self._ranks.argsort(axis=1)
         return self._order
 
     def element(self, i: int) -> ItsKeyElement:
-        return ItsKeyElement(float(self.u[i]), self.ranks[i], self.order[i])
+        ranks = None if self._ranks is None else self._ranks[i]
+        return ItsKeyElement(float(self.u[i]), ranks, self.order[i])
 
 
 class BsKeySequence:
@@ -206,36 +226,60 @@ class BsKeySequence:
         return BsKeyElement(self.u[i])
 
 
-def _fisher_yates(uniforms: np.ndarray) -> tuple:
-    """Shuffle 0..N-1 per row from iid uniforms; returns (ranks, order).
+# Bytes of swap targets the shuffle computes at a time (20 steps at n = 397
+# positions, one past n = 4096), small enough that the buffer is reused
+# rather than faulted in again on every derivation. At n = 397, N = 256 a
+# derivation took 4.7 ms against 4.9 ms with all N - 1 steps in one table,
+# and 372 minor page faults a generate-wide op against 569; 128 and 256 KiB
+# were no faster (one core of a 2-core Xeon, medians of 300 interleaved calls).
+_TARGET_BYTES = 2**16
+
+
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """The inverse of each permutation along the last axis, as int64:
+    ``ranks[..., order[..., r]] = r``."""
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(order.shape[-1]), axis=-1)
+    return ranks
+
+
+def _fisher_yates(uniforms: np.ndarray) -> np.ndarray:
+    """Shuffle 0..N-1 per row from iid uniforms; returns ``order``, the
+    token at each rank, (rows, N) int64.
 
     Row i of ``uniforms`` holds the N-1 draws for one permutation, consumed
-    at steps s = N-1 .. 1. The shuffled arrangement ``order`` lists the
-    token at each rank; ``ranks`` is its inverse (token -> rank). Both are
-    (rows, N); ``order`` is a transposed view of the token-major shuffle.
+    at steps s = N-1 .. 1: step s swaps slot s with slot floor(u (s+1)),
+    capped at s. The shuffle runs token-major, so the slots swapped at one
+    step are contiguous rows, and ``order`` is a transposed view of it. The
+    inverse, each token's rank, is not built here: ``ItsKeySequence.ranks``
+    makes it when detection asks.
     """
     n_rows, n_draws = uniforms.shape
     n = n_draws + 1
     steps = np.arange(n - 1, 0, -1)
-    rows = np.arange(n_rows)
-    # one temporary: the slot each step swaps with, truncated into it as
-    # astype would, then made a flat index into the token-major ``order``
-    targets = np.empty((n - 1, n_rows), dtype=np.int64)
-    np.multiply(uniforms.T, (steps + 1)[:, None], out=targets, casting="unsafe")
-    np.minimum(targets, steps[:, None], out=targets)
-    targets *= n_rows
-    targets += rows
+    cols = np.arange(n_rows)
     # token-major, so the slots swapped at one step are contiguous rows
-    order = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, n_rows))
+    order = np.empty((n, n_rows), dtype=np.int64)
+    order[...] = np.arange(n)[:, None]
     flat = order.reshape(-1)
-    for s, j in zip(steps, targets):
-        row = order[s]
-        held = row.copy()
-        row[...] = flat[j]
-        flat[j] = held
-    ranks = np.empty((n_rows, n), dtype=np.int64)
-    ranks[rows, order] = np.arange(n)[:, None]
-    return ranks, order.T
+    # the slot each step swaps with, truncated as astype would and made a
+    # flat index into ``order``, for a batch of steps at a time
+    batch = max(1, _TARGET_BYTES // (8 * max(1, n_rows)))
+    targets = np.empty((min(batch, n_draws), n_rows), dtype=np.int64)
+    for first in range(0, n_draws, batch):
+        part = steps[first : first + batch]
+        t = targets[: part.size]
+        np.multiply(uniforms.T[first : first + part.size], (part + 1)[:, None], out=t,
+                    casting="unsafe")
+        np.minimum(t, part[:, None], out=t)
+        t *= n_rows
+        t += cols
+        for s, j in zip(part, t):
+            row = order[s]
+            held = row.copy()
+            row[...] = flat[j]
+            flat[j] = held
+    return order.T
 
 
 def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None = None,
@@ -245,8 +289,8 @@ def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None
         n_bits = key_bits(n_vocab)
     stride = n_vocab + n_bits + 1
     slots = uniform_block(prf_key, start * stride, n * stride).reshape(n, stride)
-    ranks, order = _fisher_yates(slots[:, 1:n_vocab])
-    return ItsKeySequence._of_permutations(slots[:, 0].copy(), ranks, order)
+    order = _fisher_yates(slots[:, 1:n_vocab])
+    return ItsKeySequence._of_permutations(slots[:, 0].copy(), order=order)
 
 
 def derive_bs_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int,
@@ -281,7 +325,7 @@ def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: 
         draws = rng.random((count, n * (n_vocab + 1)))
         ranks = np.argsort(draws[:, n:].reshape(count, n, n_vocab), axis=2)
         return ItsKeySequence._of_permutations(draws[:, :n].ravel(),
-                                               ranks.reshape(count * n, n_vocab))
+                                               ranks=ranks.reshape(count * n, n_vocab))
     if kind == "bs":
         return BsKeySequence(rng.random((count * n, n_bits)))
     raise ValueError(f"unknown key kind {kind!r}")

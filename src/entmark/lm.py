@@ -8,6 +8,7 @@ transforms), which is all the generation and detection experiments need.
 Token ids are 0-based integers in ``range(vocab.size)`` everywhere.
 """
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -228,24 +229,41 @@ def _check_model_size(n_tokens: int) -> None:
                          f"model limit (N x N counts and rows, 16 bytes a cell)")
 
 
-def _is_counts(value, n: int) -> bool:
-    return (type(value) is list and len(value) == n and set(map(type, value)) <= {int}
-            and 0 <= min(value, default=0) and max(value, default=0) < 2**63)
+def _count_table(value, shape: tuple):
+    """``value`` as the int64 array of ``shape`` a model is built from, if it
+    is nested lists of integer counts in 0..2**63-1; else None."""
+    if type(value) is not list:
+        return None
+    if not value:  # np.array cannot tell an empty list's depth
+        return np.zeros(shape, dtype=np.int64) if shape[0] == 0 else None
+    try:
+        # int64 only if every entry is an int, or a bool, that fits it
+        table = np.array(value)
+    except ValueError:  # ragged
+        return None
+    if table.dtype != np.int64 or table.shape != shape or table.min() < 0:
+        return None
+    entries = itertools.chain.from_iterable(value) if len(shape) == 2 else value
+    return None if bool in set(map(type, entries)) else table
 
 
-# The fields of a model file: check and expected shape, given the vocabulary
-# size n. A count must fit int64 and the smoothing a float.
+# The fields of a model file: parse, given the vocabulary size n, to the
+# value the model is built from or None, and the expected shape. A count
+# must fit int64 and the smoothing a float.
 _MODEL_FIELDS = {
-    "vocab": (lambda v, n: type(v) is list and set(map(type, v)) <= {str}, "a list of strings"),
-    "smoothing": (lambda v, n: type(v) in (int, float) and 0 < v <= sys.float_info.max,
-                  "a finite number > 0"),
-    "counts": (lambda v, n: type(v) is list and len(v) == n and all(_is_counts(r, n) for r in v),
+    "vocab": (lambda v, n: v if type(v) is list and set(map(type, v)) <= {str} else None,
+              "a list of strings"),
+    "smoothing": (lambda v, n: v if type(v) in (int, float) and 0 < v <= sys.float_info.max
+                  else None, "a finite number > 0"),
+    "counts": (lambda v, n: _count_table(v, (n, n)),
                "an N x N table of counts in 0..2**63-1, N the vocabulary size"),
-    "bos_counts": (_is_counts, "a list of N counts in 0..2**63-1, N the vocabulary size"),
+    "bos_counts": (lambda v, n: _count_table(v, (n,)),
+                   "a list of N counts in 0..2**63-1, N the vocabulary size"),
 }
 
 
-def _check_model(doc) -> None:
+def _check_model(doc) -> dict:
+    """The model file's fields, parsed; the count tables as int64 arrays."""
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     if doc.get("format") != LM_FORMAT:
@@ -254,9 +272,12 @@ def _check_model(doc) -> None:
         if name not in doc:
             raise ValueError(f"model lacks required field {name!r}")
     n = len(doc["vocab"]) if type(doc["vocab"]) is list else 0
-    for name, (valid, what) in _MODEL_FIELDS.items():
-        if not valid(doc[name], n):
+    fields = {}
+    for name, (parse, what) in _MODEL_FIELDS.items():
+        fields[name] = parse(doc[name], n)
+        if fields[name] is None:
             raise ValueError(f"model field {name!r} must be {what}")
+    return fields
 
 
 def load_lm(path) -> MarkovLM:
@@ -264,9 +285,9 @@ def load_lm(path) -> MarkovLM:
     field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    _check_model(doc)
-    vocab = Vocabulary(tuple(doc["vocab"]))
-    return MarkovLM(vocab, doc["counts"], doc["bos_counts"], doc["smoothing"])
+    fields = _check_model(doc)
+    vocab = Vocabulary(tuple(fields["vocab"]))
+    return MarkovLM(vocab, fields["counts"], fields["bos_counts"], fields["smoothing"])
 
 
 def _numbered_vocab(n_tokens: int) -> Vocabulary:

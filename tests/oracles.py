@@ -266,6 +266,16 @@ def argsort_sample_its(probs, u: float, ranks) -> int:
     return int(order[min(int(cum.searchsorted(u, side="left")), order.size - 1)])
 
 
+def scatter_ranks(order) -> np.ndarray:
+    """Each row's rank map, the inverse of its token order, by one broadcast
+    fancy scatter: ranks[i, order[i, r]] = r, int64."""
+    order = np.asarray(order)
+    n_rows, n_vocab = order.shape
+    ranks = np.empty((n_rows, n_vocab), dtype=np.int64)
+    ranks[np.arange(n_rows)[:, None], order] = np.arange(n_vocab)
+    return ranks
+
+
 def resample_its_two_calls(rng, n: int, n_vocab: int):
     """An its null key drawn in two calls: n uniforms, then n rows of N
     draws argsorted into rank maps. Returns (u, ranks)."""

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,12 @@ from entmark.coding import build_codes, build_huffman_codes
 from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, h_hard,
                                h_soft, h_values, min_block_cost, phi, replay_boundary)
 from entmark.generation import generate, key_sequence_for
-from entmark.keys import SeedBlock, derive_key_sequence, resample_key_sequence
+from entmark.keys import (ItsKeySequence, SeedBlock, derive_key_sequence,
+                          resample_key_sequence)
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
 from entmark.sampling import Row, sample_bs_many
 from oracles import (brute_min_block_cost, cost_bs, cost_its, eta, grid_costs,
-                     scalar_min_block_cost)
+                     scalar_min_block_cost, scatter_ranks)
 
 
 def test_eta():
@@ -346,6 +350,25 @@ def test_detect_pvalue_formula_and_strong_case():
     assert rep.p_value == pytest.approx(1 / 50)  # every null loses
     assert rep.p_value == (1 + np.sum(rep.phi_null <= rep.phi0)) / (config.T + 1)
     assert rep.k == 50 and rep.cost == "its" and rep.mode == "key"
+
+
+@pytest.mark.parametrize("lm", [peaked_lm(8, 0.4), skewed_lm(64)])
+def test_derived_key_detects_as_its_hand_built_twin(lm):
+    # a derived key builds its rank table when detection first reads it; the
+    # report's bytes are those of the key built by hand from the same u and
+    # the eagerly scattered ranks
+    def report_bytes(key):
+        rep = detect_pvalue(res.tokens, key, DetectionConfig(cost="its", T=29),
+                            np.random.default_rng(2), lm.size, boundary=res.boundary)
+        return (struct.pack("<ddqq", rep.p_value, rep.phi0, rep.best_i, rep.best_j)
+                + rep.phi_null.tobytes() + json.dumps(rep.to_record()).encode())
+
+    res = generate(lm, [], 2.0, 150, "its", b"twin", np.random.default_rng(11))
+    derived = key_sequence_for(res, lm.size)
+    got = report_bytes(derived)
+    fresh = key_sequence_for(res, lm.size)
+    twin = ItsKeySequence(fresh.u.copy(), scatter_ranks(fresh.order))
+    assert got == report_bytes(twin)
 
 
 def test_detect_pvalue_bs():

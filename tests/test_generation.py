@@ -114,6 +114,18 @@ def test_generate_matches_a_per_token_loop(sampler, coding, temperature, top_p):
         assert (res.tokens, res.boundary) == want
 
 
+def test_its_generation_never_builds_a_rank_table(monkeypatch):
+    # the its sampler reads each position's order; the rank table, its
+    # inverse, is left for detection to build
+    def spy(order):
+        raise AssertionError("generation built a rank table")
+
+    monkeypatch.setattr(keymod, "_inverse", spy)
+    for model, lam in ((skewed_lm(256), 2.0), (peaked_lm(8, 0.4), 0.0)):
+        res = generate(model, [], lam, 60, "its", b"no ranks", np.random.default_rng(5))
+        assert res.boundary is not None and res.boundary < 60
+
+
 def test_generate_validation():
     lm = uniform_lm(2)
     rng = np.random.default_rng(0)

@@ -9,7 +9,7 @@ from entmark.keys import (_PASS, BsKeySequence, ItsKeyElement, ItsKeySequence, S
                           chacha20_blocks,
                           derive_bs_sequence, derive_its_sequence, derive_key_sequence,
                           derive_prf_key, resample_key_sequence, uniform_block)
-from oracles import resample_its_two_calls, scalar_chacha20_block
+from oracles import resample_its_two_calls, scalar_chacha20_block, scatter_ranks
 
 KEY = bytes(range(32))
 
@@ -201,6 +201,41 @@ def test_element_order_is_the_rank_argsort():
     for ranks in ([2, 0, 1], [1, 1, 0], [3, 0, 3, 1]):
         element = ItsKeyElement(0.5, ranks)
         assert np.array_equal(element.order, np.argsort(ranks))
+
+
+def _check_ranks_are_the_scatter(seq):
+    want = scatter_ranks(seq.order)
+    assert seq.ranks.dtype == np.int64 and seq.ranks.shape == (seq.n, seq.n_vocab)
+    assert np.array_equal(seq.ranks, want)
+    assert seq.ranks is seq.ranks  # computed once, then cached
+    for i in range(seq.n):
+        assert seq.element(i).ranks.dtype == np.int64
+        assert np.array_equal(seq.element(i).ranks, seq.ranks[i])
+
+
+@pytest.mark.parametrize("n, n_vocab, start", [(0, 1, 0), (0, 8, 3), (6, 1, 4), (1, 2, 0),
+                                                (9, 5, 2), (40, 256, 0), (3, 256, 16207422)])
+def test_derived_ranks_on_demand_equal_the_eager_scatter(n, n_vocab, start):
+    # a derived key keeps its order; the rank table, made on first use, is
+    # the scatter derivation used to make eagerly, row by row and element
+    # by element, whether the element or the sequence asks first
+    for element_first in (True, False):
+        seq = derive_its_sequence(KEY, n, n_vocab, start=start)
+        if element_first and n:
+            assert np.array_equal(seq.element(n - 1).ranks, scatter_ranks(seq.order)[n - 1])
+        _check_ranks_are_the_scatter(seq)
+
+
+def test_resampled_and_hand_built_ranks_equal_the_scatter():
+    resampled = resample_key_sequence(np.random.default_rng(5), "its", 7, 8, 3, count=3)
+    hand = ItsKeySequence(np.full(3, 0.5), [[2, 0, 1], [0, 1, 2], [1, 2, 0]])
+    for seq in (resampled, hand):
+        _check_ranks_are_the_scatter(seq)
+    # an element given only its order makes the same ranks
+    order = np.array([3, 0, 2, 1])
+    element = ItsKeyElement(0.5, None, order)
+    assert element.ranks.dtype == np.int64
+    assert np.array_equal(element.ranks, scatter_ranks(order[None])[0])
 
 
 def test_permutation_uniformity():

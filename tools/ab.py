@@ -11,10 +11,11 @@ both trees, the base tree first on even pairs and the head tree first on odd
 ones, so a slow drift of the host falls on both sides. Then it times the
 Tier-1 suite once in each tree. Writes ``BENCH_<head-sha>.json`` at the
 repository root with, per workload and end-to-end metric, both medians, both
-interquartile ranges and the pairs the head won, plus every run's ``correct``
-flag, both Tier-1 wall times, both trees' ``src/entmark/*.py`` line counts
-and their difference, and the host's Python, NumPy and ``cryptography``
-versions and core count.
+interquartile ranges and the pairs the head won, the same for each run's
+whole-process minor page faults per attempted op (``process``), plus every
+run's ``correct`` flag, both Tier-1 wall times, both trees'
+``src/entmark/*.py`` line counts and their difference, and the host's
+Python, NumPy and ``cryptography`` versions and core count.
 
 Exits 1 if any run is not ``correct`` (or fails outright), 2 if a revision
 cannot be exported.
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,18 +50,33 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def minor_faults() -> int:
+    """Minor page faults of every child process this one has waited for."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run: its result line, or a failed run's stderr."""
+    """One ``--trace 0`` run: its result line, or a failed run's stderr.
+
+    ``process`` holds the run's minor page faults per attempted op, counted
+    over the whole process tree (the run's set-up probes and imports too),
+    so it moves with a change to what one op faults in but is not that
+    count alone.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = minor_faults()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    faults = minor_faults() - before
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines or not lines[-1].startswith("{"):
-        return {"correct": False, "error": proc.stderr.strip()[-2000:], "metrics": {}}
+        return {"correct": False, "error": proc.stderr.strip()[-2000:], "metrics": {},
+                "process": {}}
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "process": {"minor_faults_per_op": faults / max(1, result["attempted"])}}
 
 
 def tier1_seconds(tree: Path) -> dict:
@@ -84,13 +101,14 @@ def quartiles(values) -> tuple:
     return q1, q3
 
 
-def compare(runs: dict, better: dict) -> dict:
-    """Per metric: both medians and IQRs, and in how many pairs head won."""
+def compare(runs: dict, better: dict, group: str = "metrics") -> dict:
+    """Per metric of each run's ``group``: both medians and IQRs, and in how
+    many pairs head won."""
     out = {}
     for name, higher in better.items():
-        pairs = [(b["metrics"][name], h["metrics"][name])
+        pairs = [(b[group][name], h[group][name])
                  for b, h in zip(runs["base"], runs["head"])
-                 if name in b["metrics"] and name in h["metrics"]]
+                 if name in b[group] and name in h[group]]
         if not pairs:
             continue
         base, head = zip(*pairs)
@@ -164,7 +182,10 @@ def main(argv=None) -> int:
                    f"run, seeds 0..{args.pairs - 1}; pair i runs base first for even i and "
                    f"head first for odd i"),
         "host": host(),
-        "workloads": {w: {"metrics": compare(runs[w], better), "runs": runs[w]}
+        "workloads": {w: {"metrics": compare(runs[w], better),
+                          "process": compare(runs[w], {"minor_faults_per_op": False},
+                                             "process"),
+                          "runs": runs[w]}
                       for w in workloads},
         "all_correct": all(r["correct"] for w in workloads for side in runs[w].values()
                            for r in side),
@@ -174,8 +195,9 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{shas['head']}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     for w in workloads:
-        for name, m in report["workloads"][w]["metrics"].items():
-            print(f"{w:16s} {name:18s} {m['base_median']:12.4g} -> {m['head_median']:12.4g} "
+        summary = report["workloads"][w]
+        for name, m in [*summary["metrics"].items(), *summary["process"].items()]:
+            print(f"{w:16s} {name:19s} {m['base_median']:12.4g} -> {m['head_median']:12.4g} "
                   f"(IQR {m['base_iqr']:.3g} / {m['head_iqr']:.3g}; head better in "
                   f"{m['head_wins']}/{m['pairs']})")
     print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
