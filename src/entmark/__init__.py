@@ -13,8 +13,8 @@ from .detection import (DetectionConfig, DetectionReport, PhiResult, detect_pval
                         detect_seed_scan, h_hard, h_soft, min_block_cost, phi,
                         replay_boundary)
 from .generation import GenerationResult, generate, generate_baseline, key_sequence_for, watermark_entropy
-from .keys import (BsKeyElement, BsKeySequence, ItsKeyElement, ItsKeySequence, PRF_ID,
-                   SeedBlock, derive_key_sequence, derive_prf_key, resample_key_sequence)
+from .keys import (BsKeySequence, ItsKeySequence, PRF_ID, SeedBlock, derive_key_sequence,
+                   derive_prf_key, resample_key_sequence)
 from .lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, build_vocabulary,
                  load_lm, peaked_lm, save_lm, skewed_lm, tokenize, train_from_text,
                  train_markov, uniform_lm)

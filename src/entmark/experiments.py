@@ -20,7 +20,7 @@ from .coding import build_codes
 from .detection import (DEFAULT_BLOCK, DetectionConfig, detect_pvalue, h_soft, phi,
                         replay_boundary)
 from .generation import GenerationResult, generate, generate_baseline, key_sequence_for
-from .keys import PRF_ID, BsKeyElement, derive_prf_key, resample_key_sequence
+from .keys import PRF_ID, derive_prf_key, resample_key_sequence
 from .lm import MarkovLM, uniform_lm
 from .sampling import Row, row_source, sample_bs, sample_bs_many, sample_multinomial
 
@@ -211,7 +211,7 @@ def _bs_blocks(lm, k, reps, rng, code):
     for r in range(reps):
         ctx = []
         for i in range(k):
-            tok = sample_bs(rows(ctx), code, BsKeyElement(u[r, i]))
+            tok = sample_bs(rows(ctx), code, u[r, i])
             tokens[r, i] = tok
             ctx.append(tok)
     return tokens, u, u_fresh

@@ -193,9 +193,10 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
             tok = sample_multinomial(row, rng)
             acc += watermark_entropy(row.p, tok)  # only read before the gate closes
         elif sampler == "its":
-            tok = sample_its(row, keyseq.element(len(tokens) - boundary))
+            j = len(tokens) - boundary
+            tok = sample_its(row, keyseq.u[j], keyseq.order[j])
         else:
-            tok = sample_bs(row, code, keyseq.element(len(tokens) - boundary))
+            tok = sample_bs(row, code, keyseq.u[len(tokens) - boundary])
         tokens.append(tok)
         context.append(tok)
     if boundary is None and acc >= lam:

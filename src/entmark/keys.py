@@ -123,35 +123,8 @@ def key_bits(n_vocab: int, code=None) -> int:
     return code.max_bits if code is not None else max(1, (n_vocab - 1).bit_length())
 
 
-class ItsKeyElement:
-    """One inverse-transform key element: a uniform, a token-rank map, and
-    the tokens in rank order (``ranks.argsort()`` unless given). ``ranks``
-    may be None when ``order`` is given; it is then ``order``'s inverse,
-    made on first use."""
-
-    __slots__ = ("u", "order", "_ranks")
-
-    def __init__(self, u: float, ranks, order: np.ndarray | None = None):
-        self.u = u
-        self._ranks = ranks  # ranks[token id] = 0-based rank
-        self.order = np.asarray(ranks).argsort() if order is None else order  # order[rank] = token
-
-    @property
-    def ranks(self) -> np.ndarray:
-        if self._ranks is None:
-            self._ranks = _inverse(self.order)
-        return self._ranks
-
-
-@dataclass(frozen=True)
-class BsKeyElement:
-    """One binary-sampling key element: max_bits uniforms, one per bit."""
-
-    u: np.ndarray
-
-
 class ItsKeySequence:
-    """Inverse-transform key elements, one row each: the uniforms ``u`` and
+    """Inverse-transform keys, one position per row: the uniforms ``u`` and
     two (n, N) int64 maps, ``ranks`` (token -> rank) and ``order`` (rank ->
     token), each the other's row-wise inverse. A sequence holds one map and
     computes the other on first use: derived keys keep the Fisher-Yates
@@ -203,12 +176,11 @@ class ItsKeySequence:
             self._order = self._ranks.argsort(axis=1)
         return self._order
 
-    def element(self, i: int) -> ItsKeyElement:
-        ranks = None if self._ranks is None else self._ranks[i]
-        return ItsKeyElement(float(self.u[i]), ranks, self.order[i])
-
 
 class BsKeySequence:
+    """Binary-sampling keys, one position per row: the (n, L) bit uniforms
+    ``u``."""
+
     kind = "bs"
 
     def __init__(self, u: np.ndarray):
@@ -221,9 +193,6 @@ class BsKeySequence:
     @property
     def n_bits(self) -> int:
         return self.u.shape[1]
-
-    def element(self, i: int) -> BsKeyElement:
-        return BsKeyElement(self.u[i])
 
 
 # Bytes of swap targets the shuffle computes at a time (20 steps at n = 397

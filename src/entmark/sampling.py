@@ -1,4 +1,4 @@
-"""Sampling functions that combine a token distribution with a key element.
+"""Sampling functions that combine a token distribution with key uniforms.
 
 All three samplers reproduce the input distribution exactly when their key
 material is uniform: inverse-transform sampling walks the CDF in the key's
@@ -12,14 +12,15 @@ CDF, matching the geometry of the inverse-transform rule (large u, late rank).
 
 Each sampler takes a ``Row``, a distribution checked once when it is built
 that holds the tables the samplers derive from it, so a caller drawing many
-tokens from the same few rows pays for each row once. ``row_source`` is the
-one place a model's rows are transformed (temperature, then top-p) into rows.
+tokens from the same few rows pays for each row once, and the key's plain
+arrays: a uniform and a token order, or a row of bit uniforms per draw.
+``row_source`` is the one place a model's rows are transformed (temperature,
+then top-p) into rows.
 """
 
 import numpy as np
 
 from .coding import TokenCode, prefix_mass
-from .keys import BsKeyElement, ItsKeyElement
 from .lm import apply_temperature, apply_top_p, validate_distribution
 
 SAMPLER_KINDS = ("its", "bs", "multinomial")
@@ -79,27 +80,40 @@ def row_source(lm, temperature: float | None = None, top_p: float | None = None)
     return row_of
 
 
-def sample_its(row: Row, elem: ItsKeyElement) -> int:
-    """First token, in ascending key-rank order, whose cumulative mass
-    reaches the key uniform."""
+_TINY = np.nextafter(0.0, 1.0)  # reached first by the first position with mass
+
+
+def _reach(cum: np.ndarray, u) -> int:
+    """First position whose cumulative mass ``cum`` reaches ``u``. A draw of
+    0 or past the total mass (which may fall short of 1 by rounding) takes
+    the nearest position with mass instead, so a zero-mass position, whose
+    cumulative mass equals its predecessor's, is never chosen."""
+    if not 0.0 < u <= cum[-1]:
+        u = cum[-1] if u > 0.0 else _TINY
+    return int(cum.searchsorted(u, side="left"))
+
+
+def sample_its(row: Row, u: float, order: np.ndarray) -> int:
+    """First token, in the key's rank order ``order`` (the token at each
+    rank), whose cumulative mass reaches the key uniform ``u``."""
     p = row.p
-    order = elem.order
     if order.shape != p.shape:
         raise ValueError("permutation size does not match distribution")
-    cum = p[order].cumsum()
-    idx = int(cum.searchsorted(elem.u, side="left"))
-    return int(order[min(idx, p.size - 1)])
+    return int(order[_reach(p[order].cumsum(), u)])
 
 
-def sample_bs(row: Row, code: TokenCode, elem: BsKeyElement) -> int:
-    """Walk the code tree from the root, one bit per uniform, until a leaf.
+def sample_bs(row: Row, code: TokenCode, u: np.ndarray) -> int:
+    """Walk the code tree from the root, one bit per key uniform in ``u``,
+    until a leaf.
 
-    Zero-probability branches are never taken: their conditional is 0 or 1,
-    which forces the bit regardless of the uniform, so unused bit patterns
-    are unreachable.
+    In exact arithmetic zero-probability branches are never taken: their
+    conditional is 0 or 1, which forces the bit regardless of the uniform,
+    so unused bit patterns are unreachable. In floating point ``node - one``
+    can leave q just below 1 over an empty 0-branch, which a uniform below
+    about 1e-16 then takes.
     """
     mass = row.masses(code)
-    u = np.asarray(elem.u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     branches = code.branches
     v = 0
     node = mass[0]
@@ -110,7 +124,7 @@ def sample_bs(row: Row, code: TokenCode, elem: BsKeyElement) -> int:
         if leaf >= 0:
             break
         if j >= u.size:
-            raise ValueError("key element has too few uniforms for this code")
+            raise ValueError("key has too few uniforms for this code")
         one = mass[one_id]
         if one is None:
             one = mass[one_id] = prefix_mass(row.p, code, one_id)
@@ -149,5 +163,4 @@ def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
 
 def sample_multinomial(row: Row, rng: np.random.Generator) -> int:
     """Standard inverse-CDF draw with a fresh uniform from ``rng``."""
-    idx = int(row.cdf().searchsorted(rng.random(), side="left"))
-    return min(idx, row.p.size - 1)
+    return _reach(row.cdf(), rng.random())

@@ -259,10 +259,12 @@ def scalar_h_soft(u, code) -> np.ndarray:
 
 def argsort_sample_its(probs, u: float, ranks) -> int:
     """Inverse-transform sampling with the rank order recomputed on every
-    call: the first token, in ascending rank, whose cumulative mass reaches
-    ``u``."""
+    call and zero-mass tokens dropped from it: the first token with mass, in
+    ascending rank, whose cumulative mass reaches ``u``, else the last."""
+    p = np.asarray(probs, dtype=np.float64)
     order = np.asarray(ranks).argsort()
-    cum = np.asarray(probs, dtype=np.float64)[order].cumsum()
+    order = order[p[order] > 0.0]
+    cum = p[order].cumsum()
     return int(order[min(int(cum.searchsorted(u, side="left")), order.size - 1)])
 
 
@@ -377,9 +379,10 @@ def per_token_generate(lm, prompt, lam, m, sampler, salt, rng, code=None,
             tok = sample_multinomial(row, rng)
             acc += watermark_entropy(probs, tok)
         elif sampler == "its":
-            tok = sample_its(row, keyseq.element(len(tokens) - boundary))
+            j = len(tokens) - boundary
+            tok = sample_its(row, keyseq.u[j], keyseq.order[j])
         else:
-            tok = sample_bs(row, code, keyseq.element(len(tokens) - boundary))
+            tok = sample_bs(row, code, keyseq.u[len(tokens) - boundary])
         tokens.append(tok)
     if boundary is None and acc >= lam:
         boundary = len(tokens)

@@ -18,7 +18,6 @@ from entmark.attacks import parse_attack_spec
 from entmark.cli import main as cli_main
 from entmark.coding import build_codes
 from entmark.generation import generate
-from entmark.keys import BsKeyElement, ItsKeyElement
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
 from entmark.sampling import Row, sample_bs, sample_its
 
@@ -49,11 +48,10 @@ def test_criterion_01_distribution_preservation():
             row = Row(p)
             law = np.zeros(n)
             n_perm = 0
-            for order in itertools.permutations(range(n)):
-                ranks = np.empty(n, dtype=np.int64)
-                ranks[list(order)] = np.arange(n)
+            for perm in itertools.permutations(range(n)):
+                order = np.array(perm)  # the token at each rank
                 for u in grid:
-                    law[sample_its(row, ItsKeyElement(float(u), ranks))] += 1.0
+                    law[sample_its(row, float(u), order)] += 1.0
                 n_perm += 1
             law /= n_perm * grid.size
             worst_its = max(worst_its, float(np.abs(law - p).sum() / 2))
@@ -68,7 +66,7 @@ def test_criterion_01_distribution_preservation():
             law = np.zeros(n)
 
             def bit_of(u_vec, j):
-                tok = sample_bs(row, code, BsKeyElement(np.asarray(u_vec)))
+                tok = sample_bs(row, code, np.asarray(u_vec))
                 return code.encode(tok)[j]
 
             def walk(prefix_forcers, prefix, measure):

@@ -116,6 +116,23 @@ def test_detect_out_of_range_token_exits_1(tmp_path, capsys, cost, bad):
     assert f"token id {bad} out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--T", "1000000000000000"],
+    ["exp", "pvalue-validity", "--trials", "100000000000000"],
+])
+def test_input_past_what_can_be_allocated_exits_1(tmp_path, capsys, argv):
+    # each asks NumPy for petabytes up front, which fails before anything is
+    # allocated; the CLI reports it as bad input, not with a traceback
+    if argv[0] == "detect":
+        gen = tmp_path / "gen.jsonl"
+        assert run(["generate", "--lm", "uniform:4", "--lambda", "1.0", "--m", "60",
+                    "--seed", "1", "--out", str(gen)]) == 0
+        argv = [*argv, "--in", str(gen), "--lm", "uniform:4"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("generate", "--temperature"), ("generate", "--lambda"), ("train-lm", "--smoothing"),
 ])

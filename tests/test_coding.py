@@ -3,7 +3,6 @@ import pytest
 
 from entmark.coding import build_codes, build_huffman_codes, codes_for_lm, prefix_mass
 from entmark.detection import h_hard, h_soft
-from entmark.keys import BsKeyElement
 from entmark.lm import skewed_lm
 from entmark.sampling import Row, sample_bs, sample_bs_many
 from oracles import path_probability, scalar_h_hard, scalar_h_soft, scalar_sample_bs
@@ -128,7 +127,7 @@ def test_tree_walks_match_string_oracles():
         u[rng.random(u.shape) < 0.05] = 0.5  # exercise > and >= at 1/2
         want = [scalar_sample_bs(p, code, row) for row in u]
         row = Row(p)
-        assert [sample_bs(row, code, BsKeyElement(bits)) for bits in u] == want
+        assert [sample_bs(row, code, bits) for bits in u] == want
         assert sample_bs_many(Row(p), code, u).tolist() == want
         assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()
         assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entmark.keys import (_PASS, BsKeySequence, ItsKeyElement, ItsKeySequence, SeedBlock,
+from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock,
                           chacha20_blocks,
                           derive_bs_sequence, derive_its_sequence, derive_key_sequence,
                           derive_prf_key, resample_key_sequence, uniform_block)
@@ -20,11 +20,14 @@ def block_bytes(key, counter, nonce):
 
 
 def its_element(key, position, n_vocab):
-    return derive_its_sequence(key, 1, n_vocab, start=position).element(0)
+    """The its key of one position: its uniform and rank map."""
+    seq = derive_its_sequence(key, 1, n_vocab, start=position)
+    return seq.u[0], seq.ranks[0]
 
 
 def bs_element(key, position, n_bits, n_vocab):
-    return derive_bs_sequence(key, 1, n_vocab, n_bits, start=position).element(0)
+    """The bs key of one position: its bit uniforms."""
+    return derive_bs_sequence(key, 1, n_vocab, n_bits, start=position).u[0]
 
 
 def test_chacha20_rfc_vector():
@@ -157,12 +160,12 @@ def test_prf_key_collision_resistance():
 
 
 def test_its_element_determinism_and_edge():
-    e1 = its_element(KEY, 5, 4)
-    e2 = its_element(KEY, 5, 4)
-    assert e1.u == e2.u and np.array_equal(e1.ranks, e2.ranks)
-    assert sorted(e1.ranks.tolist()) == [0, 1, 2, 3]
-    single = its_element(KEY, 0, 1)
-    assert np.array_equal(single.ranks, [0])
+    u1, ranks1 = its_element(KEY, 5, 4)
+    u2, ranks2 = its_element(KEY, 5, 4)
+    assert u1 == u2 and np.array_equal(ranks1, ranks2)
+    assert sorted(ranks1.tolist()) == [0, 1, 2, 3]
+    _, single = its_element(KEY, 0, 1)
+    assert np.array_equal(single, [0])
 
 
 def test_empty_and_single_token_derivation():
@@ -185,9 +188,9 @@ def test_empty_and_single_token_derivation():
 def test_its_sequence_matches_elements():
     seq = derive_its_sequence(KEY, 7, 5)
     for i in range(7):
-        e = its_element(KEY, i, 5)
-        assert e.u == seq.u[i]
-        assert np.array_equal(e.ranks, seq.ranks[i])
+        u, ranks = its_element(KEY, i, 5)
+        assert u == seq.u[i]
+        assert np.array_equal(ranks, seq.ranks[i])
 
 
 def test_element_order_is_the_rank_argsort():
@@ -196,11 +199,8 @@ def test_element_order_is_the_rank_argsort():
     hand = ItsKeySequence(np.full(3, 0.5), [[2, 0, 1], [1, 1, 0], [0, 0, 0]])
     for seq in (derived, resampled, hand):
         for i in range(seq.n):
-            assert np.array_equal(seq.element(i).order, seq.ranks[i].argsort())
+            assert np.array_equal(seq.order[i], seq.ranks[i].argsort())
         assert seq.order is seq.order  # computed once, then cached
-    for ranks in ([2, 0, 1], [1, 1, 0], [3, 0, 3, 1]):
-        element = ItsKeyElement(0.5, ranks)
-        assert np.array_equal(element.order, np.argsort(ranks))
 
 
 def _check_ranks_are_the_scatter(seq):
@@ -208,22 +208,14 @@ def _check_ranks_are_the_scatter(seq):
     assert seq.ranks.dtype == np.int64 and seq.ranks.shape == (seq.n, seq.n_vocab)
     assert np.array_equal(seq.ranks, want)
     assert seq.ranks is seq.ranks  # computed once, then cached
-    for i in range(seq.n):
-        assert seq.element(i).ranks.dtype == np.int64
-        assert np.array_equal(seq.element(i).ranks, seq.ranks[i])
 
 
 @pytest.mark.parametrize("n, n_vocab, start", [(0, 1, 0), (0, 8, 3), (6, 1, 4), (1, 2, 0),
                                                 (9, 5, 2), (40, 256, 0), (3, 256, 16207422)])
 def test_derived_ranks_on_demand_equal_the_eager_scatter(n, n_vocab, start):
     # a derived key keeps its order; the rank table, made on first use, is
-    # the scatter derivation used to make eagerly, row by row and element
-    # by element, whether the element or the sequence asks first
-    for element_first in (True, False):
-        seq = derive_its_sequence(KEY, n, n_vocab, start=start)
-        if element_first and n:
-            assert np.array_equal(seq.element(n - 1).ranks, scatter_ranks(seq.order)[n - 1])
-        _check_ranks_are_the_scatter(seq)
+    # the scatter derivation used to make eagerly
+    _check_ranks_are_the_scatter(derive_its_sequence(KEY, n, n_vocab, start=start))
 
 
 def test_resampled_and_hand_built_ranks_equal_the_scatter():
@@ -231,11 +223,6 @@ def test_resampled_and_hand_built_ranks_equal_the_scatter():
     hand = ItsKeySequence(np.full(3, 0.5), [[2, 0, 1], [0, 1, 2], [1, 2, 0]])
     for seq in (resampled, hand):
         _check_ranks_are_the_scatter(seq)
-    # an element given only its order makes the same ranks
-    order = np.array([3, 0, 2, 1])
-    element = ItsKeyElement(0.5, None, order)
-    assert element.ranks.dtype == np.int64
-    assert np.array_equal(element.ranks, scatter_ranks(order[None])[0])
 
 
 def test_permutation_uniformity():
@@ -249,11 +236,11 @@ def test_permutation_uniformity():
 
 
 def test_bs_element_determinism_and_shape():
-    e = bs_element(KEY, 9, 3, 8)
-    assert e.u.shape == (3,)
-    assert np.array_equal(e.u, bs_element(KEY, 9, 3, 8).u)
+    u = bs_element(KEY, 9, 3, 8)
+    assert u.shape == (3,)
+    assert np.array_equal(u, bs_element(KEY, 9, 3, 8))
     seq = derive_bs_sequence(KEY, 12, 8, 3)
-    assert np.array_equal(seq.element(9).u, e.u)
+    assert np.array_equal(seq.u[9], u)
     flat = derive_bs_sequence(KEY, 3000, 8, 3).u.ravel()
     assert stats.kstest(flat, "uniform").pvalue > 0.01
 
@@ -261,9 +248,9 @@ def test_bs_element_determinism_and_shape():
 def test_its_bs_share_positions_disjointly():
     # same position, both kinds derivable; the bs uniforms do not reuse the
     # its values (disjoint counters)
-    its = its_element(KEY, 2, 8)
+    its_u, _ = its_element(KEY, 2, 8)
     bs = bs_element(KEY, 2, 3, 8)
-    assert its.u not in bs.u.tolist()
+    assert its_u not in bs.tolist()
 
 
 def test_resample_key_sequence():

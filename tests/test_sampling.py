@@ -7,7 +7,6 @@ from scipy import stats
 from entmark import sampling
 from entmark.coding import build_codes, build_huffman_codes
 from entmark.detection import replay_boundary
-from entmark.keys import BsKeyElement, ItsKeyElement
 from entmark.lm import apply_temperature, apply_top_p, peaked_lm
 from entmark.sampling import (Row, row_source, sample_bs, sample_bs_many, sample_its,
                               sample_multinomial)
@@ -16,28 +15,29 @@ from oracles import argsort_sample_its, bs_law_exact, its_law_grid, scalar_sampl
 
 
 def its(u, ranks):
-    return ItsKeyElement(u, np.asarray(ranks))
+    """The sampler's key arguments for uniform ``u`` and rank map ``ranks``."""
+    return u, np.argsort(ranks)
 
 
 def test_sample_its_examples():
     p = Row(np.array([0.2, 0.5, 0.3]))
     # identity permutation, CDF read-off
-    assert sample_its(p, its(0.1, [0, 1, 2])) == 0
+    assert sample_its(p, *its(0.1, [0, 1, 2])) == 0
     # ranks: token0->1, token1->2, token2->0; rank order t2(.3), t0(.5), t1(1.0)
-    assert sample_its(p, its(0.45, [1, 2, 0])) == 0
-    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), its(0.99, [2, 0, 1])) == 1
-    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), its(0.0, [2, 0, 1])) == 1
+    assert sample_its(p, *its(0.45, [1, 2, 0])) == 0
+    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), *its(0.99, [2, 0, 1])) == 1
+    assert sample_its(Row(np.array([0.0, 1.0, 0.0])), *its(0.0, [2, 0, 1])) == 1
 
 
 def test_sample_its_boundaries():
     p = Row(np.array([0.25, 0.75]))
     # u = 0 selects the first token in rank order
-    assert sample_its(p, its(0.0, [0, 1])) == 0
+    assert sample_its(p, *its(0.0, [0, 1])) == 0
     # cumulative 'reaches u' is inclusive
-    assert sample_its(p, its(0.25, [0, 1])) == 0
-    assert sample_its(p, its(0.2500001, [0, 1])) == 1
+    assert sample_its(p, *its(0.25, [0, 1])) == 0
+    assert sample_its(p, *its(0.2500001, [0, 1])) == 1
     with pytest.raises(ValueError):
-        sample_its(p, its(0.5, [0, 1, 2]))
+        sample_its(p, *its(0.5, [0, 1, 2]))
 
 
 def test_sample_its_rank_monotone_in_u():
@@ -47,13 +47,13 @@ def test_sample_its_rank_monotone_in_u():
         p = rng.dirichlet(np.ones(n))
         ranks = np.argsort(rng.random(n))
         us = np.sort(rng.random(40))
-        picked_ranks = [ranks[sample_its(Row(p), its(float(u), ranks))] for u in us]
+        picked_ranks = [ranks[sample_its(Row(p), *its(float(u), ranks))] for u in us]
         assert all(a <= b for a, b in zip(picked_ranks, picked_ranks[1:]))
 
 
 def test_sample_its_matches_per_call_argsort():
-    # elements built by hand (tied ranks too) and derived ones answer as the
-    # sampler did when it argsorted the ranks on every call
+    # keys built by hand (tied ranks too) and derived ones answer as the
+    # sampler that argsorts the ranks on every call
     rng = np.random.default_rng(5)
     for n in (1, 2, 5, 8, 256):
         for _ in range(20):
@@ -64,11 +64,45 @@ def test_sample_its_matches_per_call_argsort():
             tied = rng.integers(n, size=n)
             for u in (0.0, float(rng.random()), 1.0 - 2**-53):
                 for r in (ranks, tied, ranks.tolist()):
-                    assert sample_its(Row(p), ItsKeyElement(u, r)) == argsort_sample_its(p, u, r)
+                    assert sample_its(Row(p), u, np.argsort(r)) == argsort_sample_its(p, u, r)
     seq = derive_its_sequence(bytes(range(32)), 40, 8)
     p = rng.dirichlet(np.ones(8))
     for i in range(seq.n):
-        assert sample_its(Row(p), seq.element(i)) == argsort_sample_its(p, seq.u[i], seq.ranks[i])
+        want = argsort_sample_its(p, seq.u[i], seq.ranks[i])
+        assert sample_its(Row(p), seq.u[i], seq.order[i]) == want
+
+
+class _Draws:
+    """A stand-in generator whose ``random()`` returns the given draws."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+def test_edge_draws_never_reach_a_zero_mass_token():
+    # u = 0 with no mass at the first position, and u past a total mass that
+    # rounding left short of 1: both samplers take the nearest position with
+    # mass, where a plain left search would land on (or clamp to) token 2
+    top = 1.0 - 2**-53
+    short = Row(np.array([0.5, 0.5 - 1e-10, 0.0]))
+    assert short.cdf()[-1] < top
+    assert sample_its(short, top, np.array([0, 1, 2])) == 1
+    assert sample_its(short, top, np.array([2, 0, 1])) == 1
+    assert sample_its(short, top, np.array([1, 2, 0])) == 0
+    assert sample_multinomial(short, _Draws(top)) == 1
+    lead = Row(np.array([0.0, 0.0, 0.3, 0.7]))
+    assert sample_its(lead, 0.0, np.array([0, 1, 2, 3])) == 2
+    assert sample_its(lead, 0.0, np.array([1, 3, 0, 2])) == 3
+    assert sample_multinomial(lead, _Draws(0.0)) == 2
+    # draws inside (0, total] keep the plain search's answer
+    assert sample_its(short, 0.5, np.array([0, 1, 2])) == 0
+    assert sample_its(short, float(short.cdf()[-1]), np.array([0, 1, 2])) == 1
+    assert sample_multinomial(lead, _Draws(2**-53)) == 2
+    assert sample_multinomial(lead, _Draws(0.3)) == 2
+    assert sample_multinomial(lead, _Draws(0.30000000000000004)) == 3
 
 
 def test_sample_bs_examples():
@@ -76,12 +110,12 @@ def test_sample_bs_examples():
     code = build_codes(4)
     p = Row(np.array([0.1, 0.2, 0.3, 0.4]))
     # bit1: q=0.7, 0.5 >= 0.3 -> 1; bit2: q=4/7, 0.6 >= 3/7 -> 1 -> "11"
-    assert sample_bs(p, code, BsKeyElement(np.array([0.5, 0.6]))) == 3
-    assert sample_bs(Row(np.array([1.0, 0, 0, 0])), code, BsKeyElement(np.array([0.9, 0.9]))) == 0
+    assert sample_bs(p, code, np.array([0.5, 0.6])) == 3
+    assert sample_bs(Row(np.array([1.0, 0, 0, 0])), code, np.array([0.9, 0.9])) == 0
     two = build_codes(2)
     half = Row(np.array([0.5, 0.5]))
-    assert sample_bs(half, two, BsKeyElement(np.array([0.49]))) == 0
-    assert sample_bs(half, two, BsKeyElement(np.array([0.51]))) == 1
+    assert sample_bs(half, two, np.array([0.49])) == 0
+    assert sample_bs(half, two, np.array([0.51])) == 1
 
 
 def test_sample_bs_never_unused_pattern():
@@ -89,12 +123,12 @@ def test_sample_bs_never_unused_pattern():
     rng = np.random.default_rng(1)
     for _ in range(200):
         p = Row(rng.dirichlet(np.ones(3)))
-        tok = sample_bs(p, code, BsKeyElement(rng.random(2)))
+        tok = sample_bs(p, code, rng.random(2))
         assert tok in (0, 1, 2)
     # zero-mass tokens are never produced either
     p = Row(np.array([0.0, 0.6, 0.4]))
     for _ in range(100):
-        assert sample_bs(p, code, BsKeyElement(rng.random(2))) != 0
+        assert sample_bs(p, code, rng.random(2)) != 0
 
 
 def test_sample_bs_huffman_mode():
@@ -102,7 +136,7 @@ def test_sample_bs_huffman_mode():
     rng = np.random.default_rng(2)
     p = np.array([0.5, 0.25, 0.2, 0.05])
     row = Row(p)
-    toks = [sample_bs(row, code, BsKeyElement(rng.random(code.max_bits))) for _ in range(4000)]
+    toks = [sample_bs(row, code, rng.random(code.max_bits)) for _ in range(4000)]
     counts = np.bincount(toks, minlength=4)
     assert stats.chisquare(counts, p * len(toks)).pvalue > 0.01
 
@@ -116,7 +150,7 @@ def test_sample_bs_many_matches_scalar():
         p = rng.dirichlet(np.ones(n))
         u = rng.random((500, code.max_bits))
         vec = sample_bs_many(Row(p), code, u)
-        scal = [sample_bs(Row(p), code, BsKeyElement(row)) for row in u]
+        scal = [sample_bs(Row(p), code, row) for row in u]
         assert np.array_equal(vec, scal)
 
 
@@ -126,9 +160,9 @@ def test_preservation_quick():
     rng = np.random.default_rng(4)
 
     def sampler(p, ranks, us):
-        row = Row(p)
+        row, order = Row(p), np.argsort(ranks)
         for u in us:
-            yield sample_its(row, ItsKeyElement(float(u), ranks)), 1.0 / us.size
+            yield sample_its(row, float(u), order), 1.0 / us.size
 
     for n in (2, 3):
         p = rng.dirichlet(np.ones(n))
@@ -174,14 +208,15 @@ def test_reused_row_answers_as_fresh_rows():
         u = rng.random((60, code.max_bits))
         for k, bits in enumerate(u):
             want = scalar_sample_bs(p, code, bits)
-            assert sample_bs(row, code, BsKeyElement(bits)) == want
-            assert sample_bs(Row(p), code, BsKeyElement(bits)) == want
+            assert sample_bs(row, code, bits) == want
+            assert sample_bs(Row(p), code, bits) == want
             if k == 20:  # fills the rest of the memo mid-stream
                 fresh = sample_bs_many(Row(p), code, u).tolist()
                 assert sample_bs_many(row, code, u).tolist() == fresh
-        elem = ItsKeyElement(float(rng.random()), rng.permutation(n))
-        want = argsort_sample_its(p, elem.u, elem.ranks)
-        assert sample_its(row, elem) == sample_its(Row(p), elem) == want
+        u_its, ranks = float(rng.random()), rng.permutation(n)
+        want = argsort_sample_its(p, u_its, ranks)
+        order = ranks.argsort()
+        assert sample_its(row, u_its, order) == sample_its(Row(p), u_its, order) == want
         draws = [sample_multinomial(row, np.random.default_rng(trial)) for _ in range(3)]
         assert draws == [sample_multinomial(Row(p), np.random.default_rng(trial)) for _ in range(3)]
 
@@ -194,10 +229,9 @@ def test_row_used_with_two_codes_answers_like_fresh_rows():
         row = Row(p)
         for bits in rng.random((200, max(c.max_bits for c in codes))):
             for code in codes:
-                elem = BsKeyElement(bits)
-                assert sample_bs(row, code, elem) == sample_bs(Row(p), code, elem)
+                assert sample_bs(row, code, bits) == sample_bs(Row(p), code, bits)
         with pytest.raises(ValueError, match="does not match code"):
-            sample_bs(row, build_codes(n + 1), BsKeyElement(bits))
+            sample_bs(row, build_codes(n + 1), bits)
 
 
 def test_row_is_checked_once_where_it_is_built():

@@ -17,8 +17,8 @@ run's ``correct`` flag, both Tier-1 wall times, both trees'
 ``src/entmark/*.py`` line counts and their difference, and the host's
 Python, NumPy and ``cryptography`` versions and core count.
 
-Exits 1 if any run is not ``correct`` (or fails outright), 2 if a revision
-cannot be exported.
+Exits 1 if any run is not ``correct`` (or fails outright) or the head's
+Tier-1 run exits non-zero, 2 if a revision cannot be exported.
 """
 
 import argparse
@@ -203,6 +203,10 @@ def main(argv=None) -> int:
     print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
           f"({lines['head'] - lines['base']:+d})")
     print(f"wrote {path}")
+    if tier1["head"]["exit"] != 0:
+        print(f"error: the head's Tier-1 run exited {tier1['head']['exit']}: "
+              f"{tier1['head']['summary']}", file=sys.stderr)
+        return 1
     return 0 if report["all_correct"] else 1
 
 
