@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock,
-                          chacha20_blocks,
+from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, chacha20_blocks,
                           derive_bs_sequence, derive_its_sequence, derive_key_sequence,
                           derive_prf_key, resample_key_sequence, uniform_block)
 from oracles import resample_its_two_calls, scalar_chacha20_block, scatter_ranks

@@ -116,6 +116,8 @@ def test_sample_bs_examples():
     half = Row(np.array([0.5, 0.5]))
     assert sample_bs(half, two, np.array([0.49])) == 0
     assert sample_bs(half, two, np.array([0.51])) == 1
+    with pytest.raises(ValueError, match="too few uniforms"):
+        sample_bs(p, code, np.array([0.5]))
 
 
 def test_sample_bs_never_unused_pattern():
