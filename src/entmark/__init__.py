@@ -10,9 +10,9 @@ alignment among freshly resampled keys to get a p-value.
 from .attacks import AttackSpec, apply_attacks, attack, parse_attack_spec
 from .coding import TokenCode, build_codes, build_huffman_codes, codes_for_lm
 from .detection import (DetectionConfig, DetectionReport, PhiResult, detect_pvalue,
-                        detect_seed_scan, h_hard, h_soft, min_block_cost, phi,
-                        replay_boundary)
-from .generation import GenerationResult, generate, generate_baseline, key_sequence_for, watermark_entropy
+                        detect_seed_scan, h_hard, h_soft, min_block_cost, phi)
+from .generation import (GenerationResult, generate, generate_baseline, key_sequence_for,
+                         replay_boundary, watermark_entropy)
 from .keys import (BsKeySequence, ItsKeySequence, PRF_ID, SeedBlock, derive_key_sequence,
                    derive_prf_key, resample_key_sequence)
 from .lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, build_vocabulary,

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import TokenCode
-from .generation import bounded_key_sequence, watermark_entropy
+from .generation import bounded_key_sequence
 from .keys import BsKeySequence, SeedBlock, key_bits, resample_key_sequence
-from .sampling import row_source
 
 # The one alignment kernel's name, read by the benchmark's environment report.
 DEFAULT_BACKEND = "python"
@@ -374,22 +373,3 @@ def detect_seed_scan(tokens, config: DetectionConfig, salt: bytes, n_vocab: int,
         k=k, T=config.T, cost=config.cost, mode="scan", boundary=s_win,
         phi_null=rep.phi_null, scanned=scanned,
     )
-
-
-def replay_boundary(lm, tokens, lam: float, prompt=(), top_p: float | None = None,
-                    temperature: float | None = None) -> int | None:
-    """Where the entropy gate closed along ``tokens`` under ``lm``, each row
-    taken from ``row_source`` as ``generate`` takes it."""
-    if not lam >= 0:  # NaN fails too, as in generate
-        raise ValueError("entropy threshold must be >= 0")
-    if lam == 0:
-        return 0
-    rows = row_source(lm, temperature, top_p)
-    acc = 0.0
-    ctx = list(prompt)
-    for i, tok in enumerate(tokens):
-        acc += watermark_entropy(rows(ctx).p, int(tok))
-        ctx.append(int(tok))
-        if acc >= lam:
-            return i + 1
-    return None

@@ -5,7 +5,9 @@ entropy -- the sum of 1 - p(chosen token) -- reaches the threshold. The
 prefix emitted so far then becomes the seed block, the key sequence for the
 remaining budget is derived from it, and every later token comes from the
 key-driven sampler. A threshold of 0 starts watermarking at the first token
-with the prompt as seed; a threshold of inf never starts it.
+with the prompt as seed; a threshold of inf never starts it. ``_gate`` is the
+one place the threshold is applied: ``generate`` samples through it and
+``replay_boundary`` runs it over a given text to find where its gate closed.
 """
 
 import json
@@ -153,11 +155,34 @@ class GenerationResult:
         return json.dumps(self.to_record())
 
 
+def _gate(rows, context, lam: float, limit: int, pick):
+    """The entropy gate: extend ``context`` by up to ``limit`` tokens, each
+    ``pick(row)`` of the row ``rows(context)`` gives, until their running
+    watermark entropy reaches ``lam``. Returns the tokens and the boundary,
+    their count if the gate closed, else None."""
+    if not lam >= 0:  # NaN fails too
+        raise ValueError("entropy threshold must be >= 0")
+    tokens = []
+    acc = 0.0
+    while acc < lam:
+        if len(tokens) == limit:
+            return tokens, None
+        row = rows(context)
+        tok = pick(row)
+        acc += watermark_entropy(row.p, tok)
+        tokens.append(tok)
+        context.append(tok)
+    return tokens, len(tokens)
+
+
 def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes,
              rng: np.random.Generator, code: TokenCode | None = None,
              top_p: float | None = None, temperature: float | None = None,
              rng_seed: int | None = None) -> GenerationResult:
-    """Run the gated generation loop for a budget of ``m`` tokens.
+    """Generate ``m`` tokens in two phases: multinomial draws through the
+    entropy gate, then, if it closed before ``m``, the rest from the key
+    sequence its seed block derives (the multinomial sampler keeps drawing
+    multinomially and derives none).
 
     Each distinct row the model returns is transformed (temperature, then
     top-p) and checked once per call by ``row_source``, and its sampler
@@ -167,8 +192,6 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
         raise ValueError(f"unknown sampler kind {sampler!r}")
     if m < 1:
         raise ValueError("generation budget m must be >= 1")
-    if not lam >= 0:  # NaN fails too
-        raise ValueError("entropy threshold must be >= 0")
     prompt = [int(t) for t in prompt]
     lm.vocab.check_ids(prompt)
     if sampler == "bs" and code is None:
@@ -176,36 +199,37 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     if code is not None and code.n_tokens != lm.size:
         raise ValueError("token code does not match vocabulary size")
 
-    tokens: list = []
     context = list(prompt)  # prompt + tokens, grown in step with tokens
-    acc = 0.0
-    boundary: int | None = None
-    keyseq = None
     rows = row_source(lm, temperature, top_p)
-    for _ in range(m):
+    tokens, boundary = _gate(rows, context, lam, m, lambda row: sample_multinomial(row, rng))
+    keyseq = None
+    if sampler != "multinomial" and len(tokens) < m:  # the gate closed before m
+        partial = GenerationResult(tokens, boundary, sampler, salt, lam, m, prompt)
+        keyseq = key_sequence_for(partial, lm.size, code)
+    for j in range(m - len(tokens)):
         row = rows(context)
-        if boundary is None and acc >= lam:
-            boundary = len(tokens)
-            if sampler != "multinomial":
-                partial = GenerationResult(tokens, boundary, sampler, salt, lam, m, prompt)
-                keyseq = key_sequence_for(partial, lm.size, code)
-        if boundary is None or sampler == "multinomial":
+        if keyseq is None:
             tok = sample_multinomial(row, rng)
-            acc += watermark_entropy(row.p, tok)  # only read before the gate closes
         elif sampler == "its":
-            j = len(tokens) - boundary
             tok = sample_its(row, keyseq.u[j], keyseq.order[j])
         else:
-            tok = sample_bs(row, code, keyseq.u[len(tokens) - boundary])
+            tok = sample_bs(row, code, keyseq.u[j])
         tokens.append(tok)
         context.append(tok)
-    if boundary is None and acc >= lam:
-        boundary = len(tokens)  # crossed on the last token; empty suffix
     return GenerationResult(
         tokens=tokens, boundary=boundary, sampler=sampler, salt=salt, lam=lam, m=m,
         prompt=prompt, rng_seed=rng_seed, coding=(code.mode if code else "fixed"),
         top_p=top_p, temperature=temperature,
     )
+
+
+def replay_boundary(lm: MarkovLM, tokens, lam: float, prompt=(), top_p: float | None = None,
+                    temperature: float | None = None) -> int | None:
+    """Where the entropy gate closed along ``tokens`` under ``lm``: the gate
+    ``generate`` runs, over the given tokens and the same rows."""
+    given = iter(tokens)
+    return _gate(row_source(lm, temperature, top_p), list(prompt), lam, len(tokens),
+                 lambda row: int(next(given)))[1]
 
 
 def generate_baseline(lm: MarkovLM, prompt, m: int, rng: np.random.Generator,
@@ -243,4 +267,5 @@ def bounded_key_sequence(seed: SeedBlock, kind: str, n: int, n_vocab: int,
     if n * n_vocab * 8 > MAX_KEY_BYTES:
         raise ValueError(f"{source} needs {n} key positions over {n_vocab} tokens, "
                          f"past the {MAX_KEY_BYTES >> 20} MiB key limit")
-    return keymod.derive_key_sequence(seed, kind, n, n_vocab, keymod.key_bits(n_vocab, code))
+    return keymod.derive_key_sequence(keymod.derive_prf_key(seed), kind, n, n_vocab,
+                                      keymod.key_bits(n_vocab, code))

@@ -2,11 +2,12 @@
 
 A generation's key material is derived deterministically from a seed block
 (the unwatermarked token prefix plus a salt): SHA-256 turns the seed block
-into a 32-byte PRF key, and the ChaCha20 block function in counter mode turns
-(key, counter) pairs into independent uniforms in [0, 1). Every sequence
-position owns a disjoint counter range, so the inverse-transform element and
-the binary element of the same position never share stream values and can be
-re-derived independently.
+into a 32-byte PRF key (``derive_prf_key``), and the ChaCha20 block function
+in counter mode turns (key, counter) pairs into independent uniforms in
+[0, 1), from which ``derive_key_sequence`` builds either kind of key. Every
+sequence position owns a disjoint counter range, so the inverse-transform
+element and the binary element of the same position never share stream values
+and can be re-derived independently.
 
 Counter layout per position (stride = N + L + 1 slots):
 
@@ -251,33 +252,18 @@ def _fisher_yates(uniforms: np.ndarray) -> np.ndarray:
     return order.T
 
 
-def derive_its_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int | None = None,
-                        start: int = 0) -> ItsKeySequence:
-    """Inverse-transform key elements for positions start .. start+n-1."""
-    if n_bits is None:
-        n_bits = key_bits(n_vocab)
+def derive_key_sequence(prf_key: bytes, kind: str, n: int, n_vocab: int, n_bits: int,
+                        start: int = 0):
+    """Key sequence of sampler ``kind`` for positions start .. start+n-1 of
+    ``prf_key``'s stream, ``n_bits`` uniforms a position for the bit walk."""
+    if kind not in ("its", "bs"):
+        raise ValueError(f"unknown key kind {kind!r}")
     stride = n_vocab + n_bits + 1
     slots = uniform_block(prf_key, start * stride, n * stride).reshape(n, stride)
-    order = _fisher_yates(slots[:, 1:n_vocab])
-    return ItsKeySequence._of_permutations(slots[:, 0].copy(), order=order)
-
-
-def derive_bs_sequence(prf_key: bytes, n: int, n_vocab: int, n_bits: int,
-                       start: int = 0) -> BsKeySequence:
-    """Binary-sampling key elements for positions start .. start+n-1."""
-    stride = n_vocab + n_bits + 1
-    slots = uniform_block(prf_key, start * stride, n * stride).reshape(n, stride)
-    return BsKeySequence(slots[:, n_vocab : n_vocab + n_bits].copy())
-
-
-def derive_key_sequence(seed: SeedBlock, kind: str, n: int, n_vocab: int, n_bits: int):
-    """Seed-determined key sequence of the requested sampler kind."""
-    key = derive_prf_key(seed)
     if kind == "its":
-        return derive_its_sequence(key, n, n_vocab, n_bits)
-    if kind == "bs":
-        return derive_bs_sequence(key, n, n_vocab, n_bits)
-    raise ValueError(f"unknown key kind {kind!r}")
+        order = _fisher_yates(slots[:, 1:n_vocab])
+        return ItsKeySequence._of_permutations(slots[:, 0].copy(), order=order)
+    return BsKeySequence(slots[:, n_vocab : n_vocab + n_bits].copy())
 
 
 def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: int, n_bits: int,

@@ -78,7 +78,7 @@ class MarkovLM:
     ``counts[a, b]`` is the number of adjacent pairs ``(a, b)`` seen in
     training; ``bos_counts[b]`` counts sequence-initial tokens so that the
     empty context is representable. Immutable after construction, so shared
-    concurrent reads are safe. ``next_distribution`` returns one read-only
+    concurrent reads are safe. ``context_distribution`` returns one read-only
     view per token, the same object on every call.
     """
 
@@ -114,24 +114,15 @@ class MarkovLM:
     def size(self) -> int:
         return self.vocab.size
 
-    def start_distribution(self) -> np.ndarray:
-        """Next-token distribution for the empty context."""
-        return self._start_row
-
-    def next_distribution(self, prefix) -> np.ndarray:
-        """Next-token distribution after a non-empty prefix of token ids."""
+    def context_distribution(self, prefix) -> np.ndarray:
+        """Next-token distribution after the token ids ``prefix``; the empty
+        prefix takes the start row."""
         if len(prefix) == 0:
-            raise ValueError("prefix must be non-empty; see start_distribution")
+            return self._start_row
         last = int(prefix[-1])
         if not 0 <= last < len(self._rows):  # a negative id would wrap
             raise ValueError(f"token id {last} out of range 0..{len(self._rows) - 1}")
         return self._rows[last]
-
-    def context_distribution(self, prefix) -> np.ndarray:
-        """Like next_distribution but maps the empty prefix to the start row."""
-        if len(prefix) == 0:
-            return self._start_row
-        return self.next_distribution(prefix)
 
 
 def train_markov(corpus, vocab: Vocabulary, smoothing: float = 1.0) -> MarkovLM:

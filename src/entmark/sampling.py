@@ -102,15 +102,32 @@ def sample_its(row: Row, u: float, order: np.ndarray) -> int:
     return int(order[_reach(p[order].cumsum(), u)])
 
 
+# Below this, a 0-branch mass computed as ``node - one`` is checked against
+# the branch's own mass: over masses that sum to ~1 rounding leaves ~1e-16 a
+# level, so an empty branch always falls below it, and a light real branch
+# only costs the lookup.
+_ROUNDING = 1e-9
+
+
+def _mass(row: Row, code: TokenCode, mass: list, v: int) -> float:
+    """Entry ``v`` of ``row``'s node-mass table ``mass`` for ``code``,
+    filled with ``prefix_mass`` on first use."""
+    m = mass[v]
+    if m is None:
+        m = mass[v] = prefix_mass(row.p, code, v)
+    return m
+
+
 def sample_bs(row: Row, code: TokenCode, u: np.ndarray) -> int:
     """Walk the code tree from the root, one bit per key uniform in ``u``,
     until a leaf.
 
-    In exact arithmetic zero-probability branches are never taken: their
-    conditional is 0 or 1, which forces the bit regardless of the uniform,
-    so unused bit patterns are unreachable. In floating point ``node - one``
-    can leave q just below 1 over an empty 0-branch, which a uniform below
-    about 1e-16 then takes.
+    Zero-probability branches are never taken, so unused bit patterns are
+    unreachable: an empty 1-branch has q = 0, which no uniform in [0, 1)
+    reaches, and an empty 0-branch has q = 1 in exact arithmetic. In floating
+    point ``node - one`` can leave q just below 1 over it, so where that
+    difference is within rounding of 0 the walk looks up the branch's own
+    mass and never enters it if that is 0.0.
     """
     mass = row.masses(code)
     u = np.asarray(u, dtype=np.float64)
@@ -128,11 +145,12 @@ def sample_bs(row: Row, code: TokenCode, u: np.ndarray) -> int:
         one = mass[one_id]
         if one is None:
             one = mass[one_id] = prefix_mass(row.p, code, one_id)
-        q = one / node
-        if u[j] >= 1.0 - q:
+        if u[j] >= 1.0 - one / node:
             v, node = one_id, one
-        else:
+        elif node - one >= _ROUNDING or _mass(row, code, mass, zero) > 0.0:
             v, node = zero, node - one
+        else:  # an empty 0-branch that rounding left just above 0
+            v, node = one_id, one
     return branches[v][0]
 
 
@@ -141,21 +159,19 @@ def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
 
     ``u`` has shape (count, max_bits). Every row walks the code tree one
     level per column with sample_bs's arithmetic and node masses (rows at a
-    leaf stay there), so the two agree element for element.
+    leaf stay there) and the same refusal of an empty 0-branch, so the two
+    agree element for element.
     """
     masses = row.masses(code)
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     if u.shape[1] < code.max_bits:
         raise ValueError("key elements have too few uniforms for this code")
-    for v, m in enumerate(masses):
-        if m is None:
-            masses[v] = prefix_mass(row.p, code, v)
-    mass = np.array(masses)
+    mass = np.array([_mass(row, code, masses, v) for v in range(len(masses))])
     v = np.zeros(u.shape[0], dtype=np.int64)
     node = np.full(u.shape[0], mass[0])
     for j in range(code.max_bits):
         one = mass[code.child[v, 1]]
-        bit = u[:, j] >= 1.0 - one / node
+        bit = (u[:, j] >= 1.0 - one / node) | (mass[code.child[v, 0]] == 0.0)
         v = code.child[v, bit.astype(np.int64)]
         node = np.where(bit, one, node - one)
     return code.leaf[v]

@@ -7,9 +7,9 @@ import pytest
 from entmark import detection
 from entmark.coding import build_codes, build_huffman_codes
 from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, h_hard,
-                               h_soft, h_values, min_block_cost, phi, replay_boundary)
-from entmark.generation import generate, key_sequence_for
-from entmark.keys import (ItsKeySequence, SeedBlock, derive_key_sequence,
+                               h_soft, h_values, min_block_cost, phi)
+from entmark.generation import generate, key_sequence_for, replay_boundary
+from entmark.keys import (ItsKeySequence, SeedBlock, derive_key_sequence, derive_prf_key,
                           resample_key_sequence)
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
 from entmark.sampling import Row, sample_bs_many
@@ -424,7 +424,7 @@ def test_seed_scan_single_candidate_reduces_to_detect():
     y = rng.integers(4, size=60).tolist()
     config = DetectionConfig(cost="its", T=19, s_max=0, k=40)
     scan = detect_seed_scan(y, config, b"tea", 4, np.random.default_rng(42))
-    ks = derive_key_sequence(SeedBlock((), b"tea"), "its", 60, 4, 2)
+    ks = derive_key_sequence(derive_prf_key(SeedBlock((), b"tea")), "its", 60, 4, 2)
     manual = detect_pvalue(y, ks, config, np.random.default_rng(42), 4)
     assert scan.p_value == pytest.approx(manual.p_value)  # C = 1
     assert scan.boundary == 0 and scan.mode == "scan"

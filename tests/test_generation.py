@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -7,9 +8,9 @@ from scipy import stats
 
 from entmark import generation as genmod, keys as keymod
 from entmark.coding import codes_for_lm
-from entmark.detection import DetectionConfig, detect_seed_scan, replay_boundary
+from entmark.detection import DetectionConfig, detect_seed_scan
 from entmark.generation import (MAX_KEY_BYTES, GenerationResult, generate, generate_baseline,
-                                key_sequence_for, watermark_entropy)
+                                key_sequence_for, replay_boundary, watermark_entropy)
 from entmark.keys import SeedBlock
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
                         skewed_lm, uniform_lm)
@@ -114,6 +115,37 @@ def test_generate_matches_a_per_token_loop(sampler, coding, temperature, top_p):
         assert (res.tokens, res.boundary) == want
 
 
+@pytest.mark.parametrize("sampler", ["its", "bs", "multinomial"])
+def test_gate_edges_match_the_per_token_loop(sampler, monkeypatch):
+    # every token of uniform_lm(4) adds 0.75 of entropy, so the gate closes
+    # after 0, 1, 2, 2 and 4 tokens for these finite thresholds; at m = 1
+    # and 2 it closes on the last token, leaving no watermarked position
+    derived = []
+    derive = keymod.derive_key_sequence
+    monkeypatch.setattr(keymod, "derive_key_sequence",
+                        lambda *args, **kw: derived.append(args) or derive(*args, **kw))
+    closed_on_last = 0
+    for lm in (uniform_lm(4), skewed_lm(6)):
+        code = codes_for_lm(lm) if sampler == "bs" else None
+        for m, lam, prompt in itertools.product((1, 2, 3, 5), (0, 0.5, 1, 1.5, 3, float("inf")),
+                                                ([], [2])):
+            seed = m + 10 * len(prompt)
+            derived.clear()
+            res = generate(lm, prompt, lam, m, sampler, b"edge", np.random.default_rng(seed),
+                           code=code)
+            keyed = sampler != "multinomial" and res.boundary is not None and res.boundary < m
+            assert len(derived) == keyed
+            want = per_token_generate(lm, prompt, lam, m, sampler, b"edge",
+                                      np.random.default_rng(seed), code=code)
+            assert (res.tokens, res.boundary) == want
+            assert replay_boundary(lm, res.tokens, lam, prompt) == res.boundary
+            if res.boundary == m:
+                closed_on_last += 1
+                with pytest.raises(ValueError, match="no watermarked positions"):
+                    key_sequence_for(res, lm.size, code, kind="bs" if code else "its")
+    assert closed_on_last >= 6  # m = 1, lam = 0.5 and m = 2, lam = 1, 1.5 on uniform_lm(4)
+
+
 def test_its_generation_never_builds_a_rank_table(monkeypatch):
     # the its sampler reads each position's order; the rank table, its
     # inverse, is left for detection to build
@@ -152,7 +184,7 @@ def test_generate_baseline_frequencies():
     # conditional frequencies after token 0 match the model row
     nxt = [b for a, b in zip(tokens, tokens[1:]) if a == 0]
     counts = np.bincount(nxt, minlength=4)
-    p = stats.chisquare(counts, lm.next_distribution([0]) * len(nxt)).pvalue
+    p = stats.chisquare(counts, lm.context_distribution([0]) * len(nxt)).pvalue
     assert p > 0.01
 
 
@@ -303,5 +335,5 @@ def test_pre_boundary_faithfulness_empirical():
     first = [generate(lm, [], 0.3, 3, "its", rng.bytes(4), rng).tokens[0]
              for _ in range(6_000)]
     counts = np.bincount(first, minlength=3)
-    expected = lm.start_distribution() * len(first)
+    expected = lm.context_distribution([]) * len(first)
     assert stats.chisquare(counts, expected).pvalue > 0.01

@@ -6,8 +6,8 @@ import pytest
 from scipy import stats
 
 from entmark.keys import (_PASS, BsKeySequence, ItsKeySequence, SeedBlock, chacha20_blocks,
-                          derive_bs_sequence, derive_its_sequence, derive_key_sequence,
-                          derive_prf_key, resample_key_sequence, uniform_block)
+                          derive_key_sequence, derive_prf_key, key_bits, resample_key_sequence,
+                          uniform_block)
 from oracles import resample_its_two_calls, scalar_chacha20_block, scatter_ranks
 
 KEY = bytes(range(32))
@@ -20,13 +20,13 @@ def block_bytes(key, counter, nonce):
 
 def its_element(key, position, n_vocab):
     """The its key of one position: its uniform and rank map."""
-    seq = derive_its_sequence(key, 1, n_vocab, start=position)
+    seq = derive_key_sequence(key, "its", 1, n_vocab, key_bits(n_vocab), start=position)
     return seq.u[0], seq.ranks[0]
 
 
 def bs_element(key, position, n_bits, n_vocab):
     """The bs key of one position: its bit uniforms."""
-    return derive_bs_sequence(key, 1, n_vocab, n_bits, start=position).u[0]
+    return derive_key_sequence(key, "bs", 1, n_vocab, n_bits, start=position).u[0]
 
 
 def test_chacha20_rfc_vector():
@@ -92,12 +92,12 @@ def test_v1_key_bytes_are_pinned():
     def digest(*arrays):
         return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()[:16]
 
-    its = derive_its_sequence(KEY, 397, 256, 8)
+    its = derive_key_sequence(KEY, "its", 397, 256, 8)
     assert digest(its.u, its.ranks) == "a398f5324c3d1ad5"
     # counters of these positions cross into the 2**32 high (nonce) word
-    its = derive_its_sequence(KEY, 3, 256, 8, start=16207422)
+    its = derive_key_sequence(KEY, "its", 3, 256, 8, start=16207422)
     assert digest(its.u, its.ranks) == "984a41b5de042e80"
-    assert digest(derive_bs_sequence(KEY, 397, 8, 3).u) == "f2d80cc74b9330bd"
+    assert digest(derive_key_sequence(KEY, "bs", 397, 8, 3).u) == "f2d80cc74b9330bd"
 
 
 def test_uniform_stream_determinism_and_range():
@@ -171,13 +171,13 @@ def test_empty_and_single_token_derivation():
     # no positions, and a one-token vocabulary, take the general path to
     # the arrays a special case would build
     for n_vocab in (1, 2, 8):
-        its = derive_its_sequence(KEY, 0, n_vocab, start=5)
+        its = derive_key_sequence(KEY, "its", 0, n_vocab, key_bits(n_vocab), start=5)
         assert its.u.shape == (0,) and its.ranks.shape == (0, n_vocab)
         assert its.u.dtype == np.float64 and its.ranks.dtype == np.int64
-        bs = derive_bs_sequence(KEY, 0, n_vocab, 3, start=5)
+        bs = derive_key_sequence(KEY, "bs", 0, n_vocab, 3, start=5)
         assert bs.u.shape == (0, 3) and bs.u.dtype == np.float64
     # N = 1, L = 1: a stride of 3 slots, the uniform in slot +0
-    single = derive_its_sequence(KEY, 6, 1, start=4)
+    single = derive_key_sequence(KEY, "its", 6, 1, key_bits(1), start=4)
     want = uniform_block(KEY, 4 * 3, 6 * 3)[::3]
     assert single.u.tobytes() == want.tobytes()
     assert single.ranks.dtype == np.int64
@@ -185,7 +185,7 @@ def test_empty_and_single_token_derivation():
 
 
 def test_its_sequence_matches_elements():
-    seq = derive_its_sequence(KEY, 7, 5)
+    seq = derive_key_sequence(KEY, "its", 7, 5, key_bits(5))
     for i in range(7):
         u, ranks = its_element(KEY, i, 5)
         assert u == seq.u[i]
@@ -193,7 +193,7 @@ def test_its_sequence_matches_elements():
 
 
 def test_element_order_is_the_rank_argsort():
-    derived = derive_its_sequence(KEY, 9, 256)
+    derived = derive_key_sequence(KEY, "its", 9, 256, key_bits(256))
     resampled = resample_key_sequence(np.random.default_rng(4), "its", 3, 8, 3, count=2)
     hand = ItsKeySequence(np.full(3, 0.5), [[2, 0, 1], [1, 1, 0], [0, 0, 0]])
     for seq in (derived, resampled, hand):
@@ -214,7 +214,8 @@ def _check_ranks_are_the_scatter(seq):
 def test_derived_ranks_on_demand_equal_the_eager_scatter(n, n_vocab, start):
     # a derived key keeps its order; the rank table, made on first use, is
     # the scatter derivation used to make eagerly
-    _check_ranks_are_the_scatter(derive_its_sequence(KEY, n, n_vocab, start=start))
+    seq = derive_key_sequence(KEY, "its", n, n_vocab, key_bits(n_vocab), start=start)
+    _check_ranks_are_the_scatter(seq)
 
 
 def test_resampled_and_hand_built_ranks_equal_the_scatter():
@@ -226,7 +227,7 @@ def test_resampled_and_hand_built_ranks_equal_the_scatter():
 
 def test_permutation_uniformity():
     n_draws = 100_000
-    seq = derive_its_sequence(KEY, n_draws, 4)
+    seq = derive_key_sequence(KEY, "its", n_draws, 4, key_bits(4))
     perms = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
     idx = np.array([perms[tuple(r)] for r in seq.ranks.tolist()])
     freq = np.bincount(idx, minlength=24) / n_draws
@@ -238,9 +239,9 @@ def test_bs_element_determinism_and_shape():
     u = bs_element(KEY, 9, 3, 8)
     assert u.shape == (3,)
     assert np.array_equal(u, bs_element(KEY, 9, 3, 8))
-    seq = derive_bs_sequence(KEY, 12, 8, 3)
+    seq = derive_key_sequence(KEY, "bs", 12, 8, 3)
     assert np.array_equal(seq.u[9], u)
-    flat = derive_bs_sequence(KEY, 3000, 8, 3).u.ravel()
+    flat = derive_key_sequence(KEY, "bs", 3000, 8, 3).u.ravel()
     assert stats.kstest(flat, "uniform").pvalue > 0.01
 
 
@@ -290,13 +291,13 @@ def test_resample_its_draws_two_call_stream(n_vocab):
 
 
 def test_derive_key_sequence_kinds():
-    seed = SeedBlock((4, 5), b"s")
-    its = derive_key_sequence(seed, "its", 3, 4, 2)
-    bs = derive_key_sequence(seed, "bs", 3, 4, 2)
+    key = derive_prf_key(SeedBlock((4, 5), b"s"))
+    its = derive_key_sequence(key, "its", 3, 4, 2)
+    bs = derive_key_sequence(key, "bs", 3, 4, 2)
     assert isinstance(its, ItsKeySequence) and isinstance(bs, BsKeySequence)
     assert its.n == bs.n == 3
     with pytest.raises(ValueError):
-        derive_key_sequence(seed, "nope", 3, 4, 2)
+        derive_key_sequence(key, "nope", 3, 4, 2)
 
 
 def test_its_key_sequence_rejects_out_of_range_ranks():

@@ -31,7 +31,7 @@ def test_vocabulary_invariants():
 def test_train_markov_hand_count():
     # corpus a b a b: pair (a,b) twice, (b,a) once
     lm = train_markov([0, 1, 0, 1], small_vocab(), smoothing=1.0)
-    p = lm.next_distribution([0])
+    p = lm.context_distribution([0])
     assert p[1] == pytest.approx((2 + 1) / (2 + 1 * 2))
     assert p[0] == pytest.approx(0.25)
 
@@ -40,7 +40,7 @@ def test_train_markov_balanced_pairs_uniform():
     # every ordered pair equally often -> uniform rows
     lm = MarkovLM(small_vocab(), np.array([[5, 5], [5, 5]]))
     for t in (0, 1):
-        assert np.allclose(lm.next_distribution([t]), [0.5, 0.5])
+        assert np.allclose(lm.context_distribution([t]), [0.5, 0.5])
 
 
 def test_train_markov_insufficient_corpus():
@@ -51,25 +51,23 @@ def test_train_markov_insufficient_corpus():
 def test_next_distribution_edges():
     lm = train_markov([0, 1, 0, 1], small_vocab(), 1.0)
     with pytest.raises(ValueError):
-        lm.next_distribution([])
-    with pytest.raises(ValueError):
-        lm.next_distribution([7])
+        lm.context_distribution([7])
     # zero counts, any smoothing -> uniform
     zero = MarkovLM(small_vocab(), np.zeros((2, 2), dtype=np.int64), smoothing=3.7)
-    assert np.allclose(zero.next_distribution([1]), [0.5, 0.5])
+    assert np.allclose(zero.context_distribution([1]), [0.5, 0.5])
 
 
 def test_next_distribution_is_one_object_per_token():
     lm = skewed_lm(5)
     for t in range(5):
-        row = lm.next_distribution([t])
-        assert lm.next_distribution([3, t]) is row
-        assert lm.context_distribution([t]) is row
+        row = lm.context_distribution([t])
+        assert lm.context_distribution([3, t]) is row
         assert not row.flags.writeable
-    assert lm.context_distribution([]) is lm.start_distribution()
+    start = lm.context_distribution([])
+    assert lm.context_distribution([]) is start and not start.flags.writeable
     for bad in (-1, 5):
         with pytest.raises(ValueError, match=rf"^token id {bad} out of range 0\.\.4$"):
-            lm.next_distribution([0, bad])
+            lm.context_distribution([0, bad])
 
 
 def test_next_distribution_fuzz_valid():
@@ -80,15 +78,15 @@ def test_next_distribution_fuzz_valid():
         corpus = rng.integers(n, size=rng.integers(2, 40)).tolist()
         lm = train_markov(corpus, vocab, float(rng.uniform(0.1, 3)))
         for t in range(n):
-            validate_distribution(lm.next_distribution([t]))
-        validate_distribution(lm.start_distribution())
+            validate_distribution(lm.context_distribution([t]))
+        validate_distribution(lm.context_distribution([]))
 
 
 def test_train_next_round_trip_chisquare():
     rng = np.random.default_rng(1)
     lm = train_markov(rng.integers(3, size=500).tolist(),
                       Vocabulary(("x", "y", "z")), 0.5)
-    row = lm.next_distribution([1])
+    row = lm.context_distribution([1])
     draws = rng.choice(3, size=100_000, p=row)
     counts = np.bincount(draws, minlength=3)
     p = stats.chisquare(counts, row * counts.sum()).pvalue
@@ -190,11 +188,11 @@ def test_save_load_round_trip(tmp_path):
 
 def test_builtin_lms():
     u = uniform_lm(4)
-    assert np.allclose(u.next_distribution([2]), 0.25)
+    assert np.allclose(u.context_distribution([2]), 0.25)
     s = skewed_lm(4)
-    assert np.allclose(s.next_distribution([0]), [0.4, 0.3, 0.2, 0.1])
+    assert np.allclose(s.context_distribution([0]), [0.4, 0.3, 0.2, 0.1])
     pk = peaked_lm(8, 0.95)
-    assert pk.next_distribution([0])[1] == pytest.approx(0.95, abs=0.005)
+    assert pk.context_distribution([0])[1] == pytest.approx(0.95, abs=0.005)
     with pytest.raises(ValueError):
         peaked_lm(4, 0.1)
 

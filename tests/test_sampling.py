@@ -6,11 +6,11 @@ from scipy import stats
 
 from entmark import sampling
 from entmark.coding import build_codes, build_huffman_codes
-from entmark.detection import replay_boundary
+from entmark.generation import replay_boundary
 from entmark.lm import apply_temperature, apply_top_p, peaked_lm
 from entmark.sampling import (Row, row_source, sample_bs, sample_bs_many, sample_its,
                               sample_multinomial)
-from entmark.keys import derive_its_sequence
+from entmark.keys import derive_key_sequence
 from oracles import argsort_sample_its, bs_law_exact, its_law_grid, scalar_sample_bs
 
 
@@ -65,7 +65,7 @@ def test_sample_its_matches_per_call_argsort():
             for u in (0.0, float(rng.random()), 1.0 - 2**-53):
                 for r in (ranks, tied, ranks.tolist()):
                     assert sample_its(Row(p), u, np.argsort(r)) == argsort_sample_its(p, u, r)
-    seq = derive_its_sequence(bytes(range(32)), 40, 8)
+    seq = derive_key_sequence(bytes(range(32)), "its", 40, 8, 3)
     p = rng.dirichlet(np.ones(8))
     for i in range(seq.n):
         want = argsort_sample_its(p, seq.u[i], seq.ranks[i])
@@ -131,6 +131,25 @@ def test_sample_bs_never_unused_pattern():
     p = Row(np.array([0.0, 0.6, 0.4]))
     for _ in range(100):
         assert sample_bs(p, code, rng.random(2)) != 0
+
+
+@pytest.mark.parametrize("code", [build_codes(8), build_huffman_codes(np.arange(1, 9))],
+                         ids=["fixed", "huffman"])
+def test_bit_walks_never_enter_an_empty_zero_branch(code):
+    # over a 0-branch whose tokens all have zero mass, ``node - one`` can be
+    # left just above 0 by rounding; the all-zero key takes every 0-branch
+    # it is allowed to, so it finds each such residue
+    rng = np.random.default_rng(0)
+    u = np.zeros(code.max_bits)
+    walks = {"sample_bs": 0, "sample_bs_many": 0}
+    for _ in range(20_000):
+        p = rng.dirichlet(np.ones(8))
+        p[rng.integers(8)] = 0.0
+        p /= p.sum()
+        row = Row(p)
+        walks["sample_bs"] += p[sample_bs(row, code, u)] == 0.0
+        walks["sample_bs_many"] += p[sample_bs_many(row, code, u[None])[0]] == 0.0
+    assert walks == {"sample_bs": 0, "sample_bs_many": 0}
 
 
 def test_sample_bs_huffman_mode():
@@ -264,9 +283,9 @@ def test_row_source_builds_one_row_per_model_row(monkeypatch):
     assert got[1] is got[2] is got[4] and got[0] is got[5]
     assert len({id(row) for row in got}) == 3  # the start row, after 3, after 5
     assert calls == {"apply_temperature": 3, "apply_top_p": 3, "validate_distribution": 3}
-    want = apply_top_p(apply_temperature(lm.next_distribution([3]), 0.7), 0.9)
+    want = apply_top_p(apply_temperature(lm.context_distribution([3]), 0.7), 0.9)
     assert got[1].p.tobytes() == want.tobytes()
-    assert row_source(lm)([3]).p is lm.next_distribution([3])  # no flags, no copy
+    assert row_source(lm)([3]).p is lm.context_distribution([3])  # no flags, no copy
 
 
 def test_replay_boundary_checks_each_model_row_once(monkeypatch):

@@ -8,17 +8,20 @@ Exports both revisions with ``git archive`` into temporary trees and runs
 ``perfbench/run.py --trace 0`` in each, pair by pair: pair i runs every
 workload ``BENCHMARK.json`` declares, for its ``run_seconds``, with seed i in
 both trees, the base tree first on even pairs and the head tree first on odd
-ones, so a slow drift of the host falls on both sides. Then it times the
-Tier-1 suite once in each tree. Writes ``BENCH_<head-sha>.json`` at the
+ones, so a slow drift of the host falls on both sides. Then it runs
+``perfbench/selftest.py`` once in the head tree and times the Tier-1 suite
+once in each tree. Writes ``BENCH_<head-sha>.json`` at the
 repository root with, per workload and end-to-end metric, both medians, both
 interquartile ranges and the pairs the head won, the same for each run's
 whole-process minor page faults per attempted op (``process``), plus every
-run's ``correct`` flag, both Tier-1 wall times, both trees'
+run's ``correct`` flag, the selftest's exit code and last line, both Tier-1
+wall times, both trees'
 ``src/entmark/*.py`` line counts and their difference, and the host's
 Python, NumPy and ``cryptography`` versions and core count.
 
-Exits 1 if any run is not ``correct`` (or fails outright) or the head's
-Tier-1 run exits non-zero, 2 if a revision cannot be exported.
+Exits 1 if any run is not ``correct`` (or fails outright), the selftest
+fails or the head's Tier-1 run exits non-zero, 2 if a revision cannot be
+exported.
 """
 
 import argparse
@@ -77,6 +80,14 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "process": {"minor_faults_per_op": faults / max(1, result["attempted"])}}
+
+
+def selftest(tree: Path) -> dict:
+    """The benchmark's own selftest in ``tree``: its exit code and last line."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=tree,
+                          capture_output=True, text=True)
+    lines = (proc.stdout + proc.stderr).strip().splitlines()
+    return {"exit": proc.returncode, "last_line": lines[-1] if lines else ""}
 
 
 def tier1_seconds(tree: Path) -> dict:
@@ -174,6 +185,7 @@ def main(argv=None) -> int:
                     rate = run["metrics"].get("throughput_ops_s", float("nan"))
                     print(f"pair {seed} {workload} {side}: {rate:.1f} ops/s"
                           f"{'' if run['correct'] else ' NOT CORRECT'}", file=sys.stderr)
+        head_selftest = selftest(trees["head"])
         tier1 = {side: tier1_seconds(tree) for side, tree in trees.items()}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
     report = {
@@ -189,6 +201,7 @@ def main(argv=None) -> int:
                       for w in workloads},
         "all_correct": all(r["correct"] for w in workloads for side in runs[w].values()
                            for r in side),
+        "selftest": head_selftest,
         "tier1": tier1,
         "src_lines": {**lines, "change": lines["head"] - lines["base"]},
     }
@@ -203,11 +216,16 @@ def main(argv=None) -> int:
     print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
           f"({lines['head'] - lines['base']:+d})")
     print(f"wrote {path}")
+    failed = False
+    if head_selftest["exit"] != 0:
+        print(f"error: the head's perfbench selftest exited {head_selftest['exit']}: "
+              f"{head_selftest['last_line']}", file=sys.stderr)
+        failed = True
     if tier1["head"]["exit"] != 0:
         print(f"error: the head's Tier-1 run exited {tier1['head']['exit']}: "
               f"{tier1['head']['summary']}", file=sys.stderr)
-        return 1
-    return 0 if report["all_correct"] else 1
+        failed = True
+    return 0 if report["all_correct"] and not failed else 1
 
 
 if __name__ == "__main__":
