@@ -11,7 +11,6 @@ from entmark.coding import codes_for_lm
 from entmark.detection import DetectionConfig, detect_seed_scan
 from entmark.generation import (MAX_KEY_BYTES, GenerationResult, generate, generate_baseline,
                                 key_sequence_for, replay_boundary, watermark_entropy)
-from entmark.keys import SeedBlock
 from entmark.lm import (MarkovLM, Vocabulary, apply_temperature, apply_top_p, peaked_lm,
                         skewed_lm, uniform_lm)
 from entmark.sampling import Row, sample_multinomial
