@@ -211,8 +211,8 @@ def _bs_blocks(lm, k, reps, rng, code):
     rows = row_source(lm)
     for r in range(reps):
         ctx = []
-        for i in range(k):
-            tok = sample_bs(rows(ctx), code, u[r, i])
+        for i, bits in enumerate(u[r].tolist()):
+            tok = sample_bs(rows(ctx), code, bits)
             tokens[r, i] = tok
             ctx.append(tok)
     return tokens, u, u_fresh

@@ -186,7 +186,9 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
 
     Each distinct row the model returns is transformed (temperature, then
     top-p) and checked once per call by ``row_source``, and its sampler
-    tables are reused by every later token drawn from it.
+    tables (the CDF, and the bit walks' step table) are reused by every
+    later token drawn from it. The key's uniforms are turned into Python
+    floats once per call, so the keyed loop hands the samplers plain floats.
     """
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {sampler!r}")
@@ -206,14 +208,15 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     if sampler != "multinomial" and len(tokens) < m:  # the gate closed before m
         partial = GenerationResult(tokens, boundary, sampler, salt, lam, m, prompt)
         keyseq = key_sequence_for(partial, lm.size, code)
+        u = keyseq.u.tolist()  # the samplers compare plain floats fastest
     for j in range(m - len(tokens)):
         row = rows(context)
         if keyseq is None:
             tok = sample_multinomial(row, rng)
         elif sampler == "its":
-            tok = sample_its(row, keyseq.u[j], keyseq.order[j])
+            tok = sample_its(row, u[j], keyseq.order[j])
         else:
-            tok = sample_bs(row, code, keyseq.u[j])
+            tok = sample_bs(row, code, u[j])
         tokens.append(tok)
         context.append(tok)
     return GenerationResult(

@@ -13,7 +13,9 @@ CDF, matching the geometry of the inverse-transform rule (large u, late rank).
 Each sampler takes a ``Row``, a distribution checked once when it is built
 that holds the tables the samplers derive from it, so a caller drawing many
 tokens from the same few rows pays for each row once, and the key's plain
-arrays: a uniform and a token order, or a row of bit uniforms per draw.
+arrays: a uniform and a token order, or a row of bit uniforms per draw. A
+bit walk reads one step of the row's step table per bit, a threshold and the
+node each bit leads to, so it costs one lookup and one float compare a bit.
 ``row_source`` is the one place a model's rows are transformed (temperature,
 then top-p) into rows.
 """
@@ -25,39 +27,84 @@ from .lm import apply_temperature, apply_top_p, validate_distribution
 
 SAMPLER_KINDS = ("its", "bs", "multinomial")
 
+# Below this, a 0-branch mass computed as ``node - one`` is checked against
+# the branch's own mass: over masses that sum to ~1 rounding leaves ~1e-16 a
+# level, so an empty branch always falls below it, and a light real branch
+# only costs the lookup.
+_ROUNDING = 1e-9
+
 
 class Row:
     """A checked token distribution and the tables sampling builds from it.
 
     ``p`` is the distribution, validated once here. The CDF for
-    ``sample_multinomial`` and, per token code, the node masses for the bit
+    ``sample_multinomial`` and, per token code, the step table of the bit
     walks are filled on first use and reused by every later draw. A row does
     not copy ``probs``, so the caller must not change it while the row lives.
     Filling a table is idempotent, so threads sharing a row compute the same
     values and need no lock.
     """
 
-    __slots__ = ("p", "_cdf", "_masses")
+    __slots__ = ("p", "_cdf", "_tables")
 
     def __init__(self, probs):
         self.p = validate_distribution(probs)
         self._cdf = None
-        self._masses = {}  # id(code) -> (code, node masses); the code pins its id
+        self._tables = {}  # id(code) -> (code, steps, path masses); the code pins its id
 
     def cdf(self) -> np.ndarray:
         if self._cdf is None:
             self._cdf = np.cumsum(self.p)
         return self._cdf
 
-    def masses(self, code: TokenCode) -> list:
-        """Mass of each node of ``code`` under this row, by node id; a slot is
-        None until a walk fills it with ``prefix_mass``."""
-        entry = self._masses.get(id(code))
+    def steps(self, code: TokenCode) -> list:
+        """Step table of the bit walks over ``code`` under this row, by node
+        id; the slot of an inner node is None until ``step`` fills it."""
+        entry = self._tables.get(id(code))
         if entry is None:
             if self.p.size != code.n_tokens:
                 raise ValueError("distribution size does not match code")
-            entry = self._masses[id(code)] = (code, [None] * len(code.branches))
+            paths = [None] * len(code.branches)
+            paths[0] = prefix_mass(self.p, code, 0)
+            # setdefault, so threads racing here all fill the one table kept
+            entry = self._tables.setdefault(id(code), (code, [None] * len(paths), paths))
         return entry[1]
+
+    def step(self, code: TokenCode, v: int) -> tuple:
+        """Fill and return the step of inner node ``v``, whose parent's step
+        is filled: ``(threshold, after bit 0, after bit 1)``, where a walk
+        at ``v`` takes bit 1 iff its uniform is >= threshold, and goes next
+        to a node id, or to ``~token`` at a leaf.
+
+        The threshold is ``1 - one / node``: ``node`` is the mass the walk
+        carries into ``v`` (``prefix_mass`` at the root and at each 1-branch,
+        the parent's ``node - one`` at a 0-branch) and ``one`` that of its
+        1-branch. An empty 1-branch has threshold 1, which no uniform in
+        [0, 1) reaches, and an empty 0-branch has threshold 0 in exact
+        arithmetic. In floating point ``node - one`` can leave the threshold
+        just above 0 over it, so where that difference is within rounding of
+        0 the branch's own mass is looked up, and if it is 0.0 both bits lead
+        to the 1-branch.
+        """
+        _, steps, paths = self._tables[id(code)]
+        _, zero, one = code.branches[v]
+        node = paths[v]
+        mass = paths[one] = prefix_mass(self.p, code, one)
+        paths[zero] = node - mass
+        if paths[zero] < _ROUNDING and prefix_mass(self.p, code, zero) == 0.0:
+            zero = one  # an empty 0-branch that rounding left just above 0
+        # sample_bs_many fills the steps below empty branches too; no uniform
+        # in [0, 1) reaches a node that carries no mass, so its threshold only
+        # has to be a number
+        threshold = 1.0 - mass / node if node > 0.0 else 1.0
+        step = steps[v] = (threshold, _after(code, zero), _after(code, one))
+        return step
+
+
+def _after(code: TokenCode, v: int) -> int:
+    """Where a step to node ``v`` leads: ``~token`` at a leaf, else ``v``."""
+    leaf = code.branches[v][0]
+    return ~leaf if leaf >= 0 else v
 
 
 def row_source(lm, temperature: float | None = None, top_p: float | None = None):
@@ -102,79 +149,45 @@ def sample_its(row: Row, u: float, order: np.ndarray) -> int:
     return int(order[_reach(p[order].cumsum(), u)])
 
 
-# Below this, a 0-branch mass computed as ``node - one`` is checked against
-# the branch's own mass: over masses that sum to ~1 rounding leaves ~1e-16 a
-# level, so an empty branch always falls below it, and a light real branch
-# only costs the lookup.
-_ROUNDING = 1e-9
-
-
-def _mass(row: Row, code: TokenCode, mass: list, v: int) -> float:
-    """Entry ``v`` of ``row``'s node-mass table ``mass`` for ``code``,
-    filled with ``prefix_mass`` on first use."""
-    m = mass[v]
-    if m is None:
-        m = mass[v] = prefix_mass(row.p, code, v)
-    return m
-
-
-def sample_bs(row: Row, code: TokenCode, u: np.ndarray) -> int:
+def sample_bs(row: Row, code: TokenCode, u) -> int:
     """Walk the code tree from the root, one bit per key uniform in ``u``,
-    until a leaf.
-
-    Zero-probability branches are never taken, so unused bit patterns are
-    unreachable: an empty 1-branch has q = 0, which no uniform in [0, 1)
-    reaches, and an empty 0-branch has q = 1 in exact arithmetic. In floating
-    point ``node - one`` can leave q just below 1 over it, so where that
-    difference is within rounding of 0 the walk looks up the branch's own
-    mass and never enters it if that is 0.0.
+    until a leaf, reading each bit's threshold and next node from ``row``'s
+    step table (see ``Row.step``), so zero-probability branches are never
+    taken. ``u`` may be an array or a list; a list of Python floats is the
+    fastest to walk.
     """
-    mass = row.masses(code)
-    u = np.asarray(u, dtype=np.float64)
-    branches = code.branches
+    steps = row.steps(code)
     v = 0
-    node = mass[0]
-    if node is None:
-        node = mass[0] = prefix_mass(row.p, code, 0)
-    for j in range(code.max_bits):
-        leaf, zero, one_id = branches[v]
-        if leaf >= 0:
-            break
-        if j >= u.size:
-            raise ValueError("key has too few uniforms for this code")
-        one = mass[one_id]
-        if one is None:
-            one = mass[one_id] = prefix_mass(row.p, code, one_id)
-        if u[j] >= 1.0 - one / node:
-            v, node = one_id, one
-        elif node - one >= _ROUNDING or _mass(row, code, mass, zero) > 0.0:
-            v, node = zero, node - one
-        else:  # an empty 0-branch that rounding left just above 0
-            v, node = one_id, one
-    return branches[v][0]
+    for x in u:
+        threshold, zero, one = steps[v] or row.step(code, v)
+        v = one if x >= threshold else zero
+        if v < 0:
+            return ~v
+    raise ValueError("key has too few uniforms for this code")
 
 
 def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
     """Vectorized sample_bs for many key elements.
 
     ``u`` has shape (count, max_bits). Every row walks the code tree one
-    level per column with sample_bs's arithmetic and node masses (rows at a
-    leaf stay there) and the same refusal of an empty 0-branch, so the two
-    agree element for element.
+    level per column through the same step table as sample_bs, with every
+    step filled, so the two agree element for element.
     """
-    masses = row.masses(code)
+    steps = row.steps(code)
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     if u.shape[1] < code.max_bits:
         raise ValueError("key elements have too few uniforms for this code")
-    mass = np.array([_mass(row, code, masses, v) for v in range(len(masses))])
+    for v, (leaf, _, _) in enumerate(code.branches):  # each node after its parent
+        if leaf < 0 and steps[v] is None:
+            row.step(code, v)
+    table = np.array([s or (0.0, 0, 0) for s in steps])  # leaves have no step
+    threshold, after = table[:, 0], table[:, 1:].astype(np.int64)
     v = np.zeros(u.shape[0], dtype=np.int64)
-    node = np.full(u.shape[0], mass[0])
     for j in range(code.max_bits):
-        one = mass[code.child[v, 1]]
-        bit = (u[:, j] >= 1.0 - one / node) | (mass[code.child[v, 0]] == 0.0)
-        v = code.child[v, bit.astype(np.int64)]
-        node = np.where(bit, one, node - one)
-    return code.leaf[v]
+        inner = np.flatnonzero(v >= 0)
+        w = v[inner]
+        v[inner] = after[w, (u[inner, j] >= threshold[w]).astype(np.int64)]
+    return ~v
 
 
 def sample_multinomial(row: Row, rng: np.random.Generator) -> int:

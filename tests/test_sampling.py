@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -217,9 +219,10 @@ def _random_row(rng, n):
 
 
 def test_reused_row_answers_as_fresh_rows():
-    # a reused row's lazily filled node masses and CDF give the draws of a
+    # a reused row's lazily filled step table and CDF give the draws of a
     # fresh row built for each draw, and the scalar oracles', however the
-    # draws are interleaved
+    # draws are interleaved, with the bit uniforms as an array or as the
+    # list of floats generate passes
     rng = np.random.default_rng(9)
     for trial in range(40):
         n = int(rng.integers(2, 40))
@@ -229,8 +232,13 @@ def test_reused_row_answers_as_fresh_rows():
         u = rng.random((60, code.max_bits))
         for k, bits in enumerate(u):
             want = scalar_sample_bs(p, code, bits)
-            assert sample_bs(row, code, bits) == want
-            assert sample_bs(Row(p), code, bits) == want
+            floats = bits.tolist()
+            assert sample_bs(row, code, bits) == sample_bs(row, code, floats) == want
+            assert sample_bs(Row(p), code, floats) == sample_bs(Row(p), code, bits) == want
+            walk = len(code.codes[want])  # the walk stops at the first uniform past it
+            assert sample_bs(row, code, floats[:walk]) == want
+            with pytest.raises(ValueError, match="too few uniforms"):
+                sample_bs(row, code, floats[:walk - 1])
             if k == 20:  # fills the rest of the memo mid-stream
                 fresh = sample_bs_many(Row(p), code, u).tolist()
                 assert sample_bs_many(row, code, u).tolist() == fresh
@@ -240,6 +248,38 @@ def test_reused_row_answers_as_fresh_rows():
         assert sample_its(row, u_its, order) == sample_its(Row(p), u_its, order) == want
         draws = [sample_multinomial(row, np.random.default_rng(trial)) for _ in range(3)]
         assert draws == [sample_multinomial(Row(p), np.random.default_rng(trial)) for _ in range(3)]
+        with pytest.raises(ValueError, match="does not match code"):
+            sample_bs(row, build_codes(n + 1), floats)
+
+
+def test_row_shared_between_threads_answers_as_fresh_rows():
+    # a row's tables are filled idempotently, so two threads walking one
+    # fresh row, switching often while its steps fill, draw what fresh rows do
+    rng = np.random.default_rng(11)
+    code = build_huffman_codes(rng.integers(1, 30, size=40))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            p = _random_row(rng, 40)
+            row = Row(p)
+            u = rng.random((2, 2000, code.max_bits)).tolist()
+            got = [None, None]
+            start = threading.Barrier(2, timeout=60)
+
+            def walk(i):
+                start.wait()
+                got[i] = [sample_bs(row, code, bits) for bits in u[i]]
+
+            threads = [threading.Thread(target=walk, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == [[sample_bs(Row(p), code, bits) for bits in half] for half in u]
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_row_used_with_two_codes_answers_like_fresh_rows():
