@@ -16,7 +16,7 @@ from scipy import stats
 
 from . import metrics
 from .attacks import apply_attacks
-from .coding import build_codes
+from .coding import build_codes, codes_for_lm
 from .detection import DEFAULT_BLOCK, DetectionConfig, detect_pvalue, h_soft, phi
 from .generation import (GenerationResult, generate, generate_baseline, key_sequence_for,
                          replay_boundary)
@@ -139,11 +139,13 @@ def run_indistinguishability(lm: MarkovLM, lam: float, m: int, samples: int,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     baseline = [generate_baseline(lm, [], m, rng) for _ in range(samples)]
+    code = codes_for_lm(lm)  # one code, so the rows keep their bit-walk tables
     pvals = {}
     for sampler in ("its", "bs"):
         marked = []
         for _ in range(samples):
-            res = generate(lm, [], lam, m, sampler, rng.bytes(16), rng)
+            res = generate(lm, [], lam, m, sampler, rng.bytes(16), rng,
+                           code=code if sampler == "bs" else None)
             marked.append(res.tokens)
         pvals[sampler] = two_corpus_chisquare(marked, baseline, lm.size)
     flat = {f"{s}_{g}": p for s, d in pvals.items() for g, p in d.items()}

@@ -184,11 +184,14 @@ def generate(lm: MarkovLM, prompt, lam: float, m: int, sampler: str, salt: bytes
     sequence its seed block derives (the multinomial sampler keeps drawing
     multinomially and derives none).
 
-    Each distinct row the model returns is transformed (temperature, then
-    top-p) and checked once per call by ``row_source``, and its sampler
-    tables (the CDF, and the bit walks' step table) are reused by every
-    later token drawn from it. The key's uniforms are turned into Python
-    floats once per call, so the keyed loop hands the samplers plain floats.
+    Each model row is transformed (temperature, then top-p) and checked
+    once per model and setting by ``row_source``, and its sampler tables
+    (the CDF, and the bit walks' step table for the last code walked) are
+    reused by every later token drawn from it, in this call and later ones.
+    Passing the same ``code`` to every call keeps the step tables; a bs call
+    without one builds a fresh code and refills them. The key's uniforms are
+    turned into Python floats once per call, so the keyed loop hands the
+    samplers plain floats.
     """
     if sampler not in SAMPLER_KINDS:
         raise ValueError(f"unknown sampler kind {sampler!r}")

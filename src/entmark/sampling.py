@@ -17,8 +17,11 @@ arrays: a uniform and a token order, or a row of bit uniforms per draw. A
 bit walk reads one step of the row's step table per bit, a threshold and the
 node each bit leads to, so it costs one lookup and one float compare a bit.
 ``row_source`` is the one place a model's rows are transformed (temperature,
-then top-p) into rows.
+then top-p) into rows; it keeps them per model, so every walk over one model
+and setting builds each row once.
 """
+
+import weakref
 
 import numpy as np
 
@@ -38,43 +41,47 @@ class Row:
     """A checked token distribution and the tables sampling builds from it.
 
     ``p`` is the distribution, validated once here. The CDF for
-    ``sample_multinomial`` and, per token code, the step table of the bit
-    walks are filled on first use and reused by every later draw. A row does
-    not copy ``probs``, so the caller must not change it while the row lives.
-    Filling a table is idempotent, so threads sharing a row compute the same
-    values and need no lock.
+    ``sample_multinomial`` and the step table of the bit walks over the
+    token code last walked are filled on first use and reused by every
+    later draw; a walk over another code replaces the step table, so a row
+    holds at most one. A row does not copy ``probs``, so the caller must not
+    change it while the row lives. Filling a table is idempotent, so threads
+    sharing a row compute the same values and need no lock.
     """
 
-    __slots__ = ("p", "_cdf", "_tables")
+    __slots__ = ("p", "_cdf", "_table")
 
     def __init__(self, probs):
         self.p = validate_distribution(probs)
         self._cdf = None
-        self._tables = {}  # id(code) -> (code, steps, path masses); the code pins its id
+        self._table = None  # (code, steps, path masses) of the code last walked
 
     def cdf(self) -> np.ndarray:
         if self._cdf is None:
             self._cdf = np.cumsum(self.p)
         return self._cdf
 
-    def steps(self, code: TokenCode) -> list:
-        """Step table of the bit walks over ``code`` under this row, by node
-        id; the slot of an inner node is None until ``step`` fills it."""
-        entry = self._tables.get(id(code))
-        if entry is None:
+    def table(self, code: TokenCode) -> tuple:
+        """``(code, steps, path masses)``: the step table of the bit walks
+        over ``code`` under this row, by node id, where the step of an inner
+        node is None until ``step`` fills it. A walker fills the table it
+        holds, so a thread that replaces the row's table with another code's
+        leaves the walks of other threads whole."""
+        table = self._table
+        if table is None or table[0] is not code:
             if self.p.size != code.n_tokens:
                 raise ValueError("distribution size does not match code")
             paths = [None] * len(code.branches)
             paths[0] = prefix_mass(self.p, code, 0)
-            # setdefault, so threads racing here all fill the one table kept
-            entry = self._tables.setdefault(id(code), (code, [None] * len(paths), paths))
-        return entry[1]
+            table = self._table = (code, [None] * len(paths), paths)
+        return table
 
-    def step(self, code: TokenCode, v: int) -> tuple:
-        """Fill and return the step of inner node ``v``, whose parent's step
-        is filled: ``(threshold, after bit 0, after bit 1)``, where a walk
-        at ``v`` takes bit 1 iff its uniform is >= threshold, and goes next
-        to a node id, or to ``~token`` at a leaf.
+    def step(self, table: tuple, v: int) -> tuple:
+        """Fill and return the step of inner node ``v`` in ``table``, a table
+        of this row whose step of ``v``'s parent is filled: ``(threshold,
+        after bit 0, after bit 1)``, where a walk at ``v`` takes bit 1 iff
+        its uniform is >= threshold, and goes next to a node id, or to
+        ``~token`` at a leaf.
 
         The threshold is ``1 - one / node``: ``node`` is the mass the walk
         carries into ``v`` (``prefix_mass`` at the root and at each 1-branch,
@@ -86,7 +93,7 @@ class Row:
         0 the branch's own mass is looked up, and if it is 0.0 both bits lead
         to the 1-branch.
         """
-        _, steps, paths = self._tables[id(code)]
+        code, steps, paths = table
         _, zero, one = code.branches[v]
         node = paths[v]
         mass = paths[one] = prefix_mass(self.p, code, one)
@@ -107,22 +114,40 @@ def _after(code: TokenCode, v: int) -> int:
     return ~leaf if leaf >= 0 else v
 
 
+# model -> ((temperature, top_p), {last token, or None for the start row: Row}):
+# one setting's rows per model, dropped with the model
+_ROWS = weakref.WeakKeyDictionary()
+
+
 def row_source(lm, temperature: float | None = None, top_p: float | None = None):
     """``row_of(context)``: the ``Row`` of ``lm``'s next-token distribution
-    after ``context``, temperature then top-p applied, built once per distinct
-    model row and returned for it from then on; the model must not change a
-    row it has returned while ``row_of`` is in use."""
-    rows = {}  # id(model row) -> (model row, Row); the pinned row keeps its id unique
+    after ``context``, temperature then top-p applied.
+
+    The model must be order-1 and immutable, as ``MarkovLM`` is: its row
+    after ``context`` is then fixed by ``context[-1]`` (the start row by an
+    empty context), and rows are kept by that token. Each row is built once,
+    on the first context that ends in its token, through
+    ``lm.context_distribution``, so a token no row is kept for still meets
+    its range check. The rows are kept per model across calls, for the last
+    (temperature, top-p) asked of it, and freed with the model.
+    """
+    setting = (temperature, top_p)
+    entry = _ROWS.get(lm)
+    if entry is None or entry[0] != setting:
+        entry = _ROWS[lm] = (setting, {})
+    rows = entry[1]
 
     def row_of(context) -> Row:
-        probs = lm.context_distribution(context)
-        entry = rows.get(id(probs))
-        if entry is None:
-            p = probs if temperature is None else apply_temperature(probs, temperature)
+        last = context[-1] if len(context) else None
+        row = rows.get(last)
+        if row is None:
+            p = lm.context_distribution(context)
+            if temperature is not None:
+                p = apply_temperature(p, temperature)
             if top_p is not None:
                 p = apply_top_p(p, top_p)
-            entry = rows[id(probs)] = (probs, Row(p))
-        return entry[1]
+            row = rows.setdefault(last, Row(p))
+        return row
 
     return row_of
 
@@ -156,10 +181,11 @@ def sample_bs(row: Row, code: TokenCode, u) -> int:
     taken. ``u`` may be an array or a list; a list of Python floats is the
     fastest to walk.
     """
-    steps = row.steps(code)
+    table = row.table(code)
+    steps = table[1]
     v = 0
     for x in u:
-        threshold, zero, one = steps[v] or row.step(code, v)
+        threshold, zero, one = steps[v] or row.step(table, v)
         v = one if x >= threshold else zero
         if v < 0:
             return ~v
@@ -173,15 +199,16 @@ def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
     level per column through the same step table as sample_bs, with every
     step filled, so the two agree element for element.
     """
-    steps = row.steps(code)
+    table = row.table(code)
+    steps = table[1]
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     if u.shape[1] < code.max_bits:
         raise ValueError("key elements have too few uniforms for this code")
     for v, (leaf, _, _) in enumerate(code.branches):  # each node after its parent
         if leaf < 0 and steps[v] is None:
-            row.step(code, v)
-    table = np.array([s or (0.0, 0, 0) for s in steps])  # leaves have no step
-    threshold, after = table[:, 0], table[:, 1:].astype(np.int64)
+            row.step(table, v)
+    flat = np.array([s or (0.0, 0, 0) for s in steps])  # leaves have no step
+    threshold, after = flat[:, 0], flat[:, 1:].astype(np.int64)
     v = np.zeros(u.shape[0], dtype=np.int64)
     for j in range(code.max_bits):
         inner = np.flatnonzero(v >= 0)

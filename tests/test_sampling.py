@@ -1,5 +1,8 @@
+import gc
+import itertools
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,13 +10,14 @@ import pytest
 from scipy import stats
 
 from entmark import sampling
-from entmark.coding import build_codes, build_huffman_codes
-from entmark.generation import replay_boundary
+from entmark.coding import build_codes, build_huffman_codes, codes_for_lm
+from entmark.generation import generate, replay_boundary
 from entmark.lm import apply_temperature, apply_top_p, peaked_lm
 from entmark.sampling import (Row, row_source, sample_bs, sample_bs_many, sample_its,
                               sample_multinomial)
 from entmark.keys import derive_key_sequence
-from oracles import argsort_sample_its, bs_law_exact, its_law_grid, scalar_sample_bs
+from oracles import (argsort_sample_its, bs_law_exact, its_law_grid, per_token_generate,
+                     scalar_sample_bs)
 
 
 def its(u, ranks):
@@ -252,24 +256,58 @@ def test_reused_row_answers_as_fresh_rows():
             sample_bs(row, build_codes(n + 1), floats)
 
 
+class _Lockstep:
+    """Turns for two threads, one uniform each in turn while both walk, so
+    their bit walks interleave bit by bit."""
+
+    def __init__(self):
+        self.turn = 0
+        self.done = [False, False]
+        self.cond = threading.Condition()
+
+    def bits(self, i, bits):
+        for x in bits:
+            with self.cond:
+                assert self.cond.wait_for(lambda: self.turn == i or self.done[1 - i], 60)
+                self.turn = 1 - i
+                self.cond.notify()
+            yield x
+
+    def finish(self, i):
+        with self.cond:
+            self.done[i] = True
+            self.cond.notify()
+
+
 def test_row_shared_between_threads_answers_as_fresh_rows():
     # a row's tables are filled idempotently, so two threads walking one
-    # fresh row, switching often while its steps fill, draw what fresh rows do
+    # fresh row, switching often while its steps fill, draw what fresh rows
+    # do; so do two threads walking it bit by bit in turn under two codes,
+    # each replacing the row's one step table in the middle of the other's
+    # walks
     rng = np.random.default_rng(11)
-    code = build_huffman_codes(rng.integers(1, 30, size=40))
+    huffman = build_huffman_codes(rng.integers(1, 30, size=40))
+    rounds = [(huffman, huffman, 2000, False)] * 4 + [(huffman, build_codes(40), 300, True)] * 2
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(4):
+        for *codes, walks, in_turn in rounds:
             p = _random_row(rng, 40)
             row = Row(p)
-            u = rng.random((2, 2000, code.max_bits)).tolist()
+            u = rng.random((2, walks, max(c.max_bits for c in codes))).tolist()
             got = [None, None]
             start = threading.Barrier(2, timeout=60)
+            turns = _Lockstep() if in_turn else None
 
             def walk(i):
                 start.wait()
-                got[i] = [sample_bs(row, code, bits) for bits in u[i]]
+                if turns is None:
+                    got[i] = [sample_bs(row, codes[i], bits) for bits in u[i]]
+                    return
+                try:
+                    got[i] = [sample_bs(row, codes[i], turns.bits(i, bits)) for bits in u[i]]
+                finally:
+                    turns.finish(i)
 
             threads = [threading.Thread(target=walk, args=(i,)) for i in range(2)]
             for t in threads:
@@ -277,7 +315,8 @@ def test_row_shared_between_threads_answers_as_fresh_rows():
             for t in threads:
                 t.join(timeout=60)
                 assert not t.is_alive()
-            assert got == [[sample_bs(Row(p), code, bits) for bits in half] for half in u]
+            assert got == [[sample_bs(Row(p), code, bits) for bits in half]
+                           for code, half in zip(codes, u)]
     finally:
         sys.setswitchinterval(switch)
 
@@ -305,9 +344,10 @@ def test_row_is_checked_once_where_it_is_built():
 
 
 def _count_row_work(monkeypatch):
-    """Count the calls row_source makes to transform and check a row."""
+    """Count the calls the sampling module makes to transform and check a
+    row and to fill its step tables."""
     calls = Counter()
-    for name in ("apply_temperature", "apply_top_p", "validate_distribution"):
+    for name in ("apply_temperature", "apply_top_p", "validate_distribution", "prefix_mass"):
         def counted(*args, _name=name, _fn=getattr(sampling, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -335,3 +375,55 @@ def test_replay_boundary_checks_each_model_row_once(monkeypatch):
     tokens = [3, 3, 5, 3, 5, 1]
     assert replay_boundary(lm, tokens, float("inf"), top_p=0.9, temperature=0.7) is None
     assert calls == {"apply_temperature": 3, "apply_top_p": 3, "validate_distribution": 3}
+
+
+def test_generate_keeps_a_models_rows_across_calls(monkeypatch):
+    calls = _count_row_work(monkeypatch)
+    lm = peaked_lm(8, 0.4)
+    code = codes_for_lm(lm)
+
+    def run(sampler="bs", seed=0, **setting):
+        return generate(lm, [], 1.0, 80, sampler, bytes([seed]), np.random.default_rng(seed),
+                        code=code if sampler == "bs" else None, **setting)
+
+    first = run()
+    assert calls["validate_distribution"] > 0 and calls["prefix_mass"] > 0
+    calls.clear()
+    assert run().tokens == first.tokens
+    assert calls == {}  # same model and setting: every row and step table kept
+    for setting, transform in (({"temperature": 0.7}, "apply_temperature"),
+                               ({"top_p": 0.9}, "apply_top_p"), ({}, None)):
+        run(**setting)
+        assert calls["validate_distribution"] > 0 and calls["prefix_mass"] > 0
+        assert transform is None or calls[transform] > 0
+        calls.clear()
+    # alternating settings on one model draw what a per-token loop draws
+    settings = [{}, {"temperature": 0.7}, {"top_p": 0.9}, {},
+                {"temperature": 0.7, "top_p": 0.9}, {"top_p": 0.9}]
+    for seed, (setting, sampler) in enumerate(itertools.product(settings, ("its", "bs"))):
+        res = run(sampler, seed, **setting)
+        want = per_token_generate(lm, [], 1.0, 80, sampler, bytes([seed]),
+                                  np.random.default_rng(seed),
+                                  code=code if sampler == "bs" else None, **setting)
+        assert (res.tokens, res.boundary) == want
+    gc.collect()
+    kept = len(sampling._ROWS)
+    model = weakref.ref(lm)
+    del lm, run
+    gc.collect()
+    assert model() is None and len(sampling._ROWS) == kept - 1
+
+
+def test_kept_rows_still_refuse_out_of_range_ids():
+    # the start row is kept under None, so a raw -1 or N still reaches the
+    # model's range check once every row is kept
+    lm = peaked_lm(8, 0.4)
+    rows = row_source(lm)
+    for context in [[]] + [[t] for t in range(8)]:
+        rows(context)
+    assert len(sampling._ROWS[lm][1]) == 9
+    for context in ([-1], [8], [3, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            row_source(lm)(context)
+    with pytest.raises(ValueError, match="out of range"):
+        replay_boundary(lm, [2, -1, 3], float("inf"))

@@ -13,7 +13,8 @@ ones, so a slow drift of the host falls on both sides. Then it runs
 once in each tree. Writes ``BENCH_<head-sha>.json`` at the
 repository root with, per workload and end-to-end metric, both medians, both
 interquartile ranges and the pairs the head won, the same for each run's
-whole-process minor page faults per attempted op (``process``), plus every
+whole-process minor page faults per attempted op (``process``), each end-to-end
+metric's verdict (see ``verdict``), plus every
 run's ``correct`` flag, the selftest's exit code and last line, both Tier-1
 wall times, both trees'
 ``src/entmark/*.py`` line counts and their difference, and the host's
@@ -112,9 +113,24 @@ def quartiles(values) -> tuple:
     return q1, q3
 
 
-def compare(runs: dict, better: dict, group: str = "metrics") -> dict:
-    """Per metric of each run's ``group``: both medians and IQRs, and in how
-    many pairs head won."""
+def verdict(m: dict, bound: float) -> str:
+    """``gain`` if head won at least 9 in 10 of the pairs and its median is
+    better than the base's by more than the base IQR; ``worse`` if its median
+    is worse than the base's by more than ``bound``, a fraction of the base
+    median; else ``within bound``."""
+    ahead = m["head_median"] - m["base_median"]
+    if m["better"] == "lower":
+        ahead = -ahead
+    if 10 * m["head_wins"] >= 9 * m["pairs"] and ahead > m["base_iqr"]:
+        return "gain"
+    if -ahead > bound * abs(m["base_median"]):
+        return "worse"
+    return "within bound"
+
+
+def compare(runs: dict, better: dict, group: str = "metrics", bounds=None) -> dict:
+    """Per metric of each run's ``group``: both medians and IQRs, in how many
+    pairs head won and, for a metric ``bounds`` holds, its verdict."""
     out = {}
     for name, higher in better.items():
         pairs = [(b[group][name], h[group][name])
@@ -129,6 +145,8 @@ def compare(runs: dict, better: dict, group: str = "metrics") -> dict:
                      "base_median": statistics.median(base), "base_iqr": b3 - b1,
                      "head_median": statistics.median(head), "head_iqr": h3 - h1,
                      "head_wins": wins, "pairs": len(pairs)}
+        if bounds and name in bounds:
+            out[name]["verdict"] = verdict(out[name], bounds[name])
     return out
 
 
@@ -165,6 +183,7 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads(git("show", f"{shas['head']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     runs = {w: {"base": [], "head": []} for w in workloads}
@@ -194,7 +213,7 @@ def main(argv=None) -> int:
                    f"run, seeds 0..{args.pairs - 1}; pair i runs base first for even i and "
                    f"head first for odd i"),
         "host": host(),
-        "workloads": {w: {"metrics": compare(runs[w], better),
+        "workloads": {w: {"metrics": compare(runs[w], better, bounds=bounds),
                           "process": compare(runs[w], {"minor_faults_per_op": False},
                                              "process"),
                           "runs": runs[w]}
@@ -212,7 +231,7 @@ def main(argv=None) -> int:
         for name, m in [*summary["metrics"].items(), *summary["process"].items()]:
             print(f"{w:16s} {name:19s} {m['base_median']:12.4g} -> {m['head_median']:12.4g} "
                   f"(IQR {m['base_iqr']:.3g} / {m['head_iqr']:.3g}; head better in "
-                  f"{m['head_wins']}/{m['pairs']})")
+                  f"{m['head_wins']}/{m['pairs']}) {m.get('verdict', '')}".rstrip())
     print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
           f"({lines['head'] - lines['base']:+d})")
     print(f"wrote {path}")
