@@ -414,6 +414,42 @@ def test_generate_keeps_a_models_rows_across_calls(monkeypatch):
     assert model() is None and len(sampling._ROWS) == kept - 1
 
 
+def test_threads_sharing_a_models_rows_draw_as_a_per_token_loop():
+    # four threads generate from one model under two settings at once, so
+    # they replace its kept rows under each other while they walk them
+    lm = peaked_lm(8, 0.4)
+    code = codes_for_lm(lm)
+    jobs = [(seed, ({}, {"temperature": 0.7})[seed % 2]) for seed in range(4)]
+
+    want = [per_token_generate(lm, [], 1.0, 120, "bs", bytes([seed]),
+                               np.random.default_rng(seed), code=code, **setting)
+            for seed, setting in jobs]
+    got = [None] * len(jobs)
+    start = threading.Barrier(len(jobs), timeout=60)
+
+    def work(i):
+        seed, setting = jobs[i]
+        start.wait()
+        got[i] = []
+        for _ in range(20):
+            res = generate(lm, [], 1.0, 120, "bs", bytes([seed]), np.random.default_rng(seed),
+                           code=code, **setting)
+            got[i].append((res.tokens, res.boundary))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [[w] * 20 for w in want]
+
+
 def test_kept_rows_still_refuse_out_of_range_ids():
     # the start row is kept under None, so a raw -1 or N still reaches the
     # model's range check once every row is kept
