@@ -33,9 +33,10 @@ class TokenCode:
     prefix; ``child[node, bit]`` extends it by one bit (a leaf is its own
     child), ``leaf[node]`` is the token a leaf reads as (-1 for inner nodes),
     ``members[node]`` the ascending ids of the tokens beneath it, and
-    ``[lo, lo + 2**-depth)`` the dyadic cell its prefix spells. A fixed code
-    over N < 2**L tokens keeps each unused pattern as a leaf with no members
-    that reads as token N-1; Huffman trees are full. ``branches[node]`` is
+    ``[lo, lo + 2**-depth)`` the dyadic cell its prefix spells (``depth`` is
+    int32, the exponent type ``np.ldexp`` takes without a cast). A fixed
+    code over N < 2**L tokens keeps each unused pattern as a leaf with no
+    members that reads as token N-1; Huffman trees are full. ``branches[node]`` is
     ``(leaf, child0, child1)`` as Python ints, for walks one node at a time.
     Immutable; concurrent reads are safe.
     """
@@ -92,7 +93,7 @@ def _finish(n_tokens, max_bits, mode, codes):
         leaf=np.array(leaf),
         members=tuple(np.array(m, dtype=np.int64) for m in members),
         lo=np.array([sum(0.5 ** (j + 1) for j, c in enumerate(b) if c == "1") for b in prefixes]),
-        depth=np.array([len(b) for b in prefixes]),
+        depth=np.array([len(b) for b in prefixes], dtype=np.int32),
         branches=tuple((t, c0, c1) for t, (c0, c1) in zip(leaf, child)),
     )
 

@@ -29,10 +29,11 @@ is built as a cost table against the text's U distinct tokens
 Tables are stored token-major as doubled slabs, (U, 2n) per table with key
 rows 0..n-1 written twice, so the wrapped diagonal a text position reads is
 a contiguous block, and one slide adds and subtracts it in place at each
-text step. Two searches read that slide: ``min_block_cost`` keeps the
-row-major first minimum (i, j) of one grid (``phi``'s), and ``detect_pvalue``
-keeps only an elementwise running minimum over a stack of null slabs, since
-a null statistic enters the p-value by its value alone. Null keys are drawn
+text step. Two searches read that slide: ``min_block_cost`` copies each
+step's window into one grid (``phi``'s) and finds its row-major first
+minimum (i, j) once at the end, and ``detect_pvalue`` keeps only an
+elementwise running minimum over a stack of null slabs, since a null
+statistic enters the p-value by its value alone. Null keys are drawn
 a batch per call, and each draw writes its tables straight into the slab.
 """
 
@@ -68,10 +69,12 @@ _DRAW_BYTES = 256 << 10
 
 def _descend(bits, code: TokenCode) -> np.ndarray:
     """The code-tree node each row of 0/1 ``bits`` reaches, one level per
-    column; a row that reaches a leaf early stays on it."""
+    column; a row that reaches a leaf early stays on it. Each level is one
+    1-D ``take`` from the flattened child table, at ``2 * node + bit``."""
+    child = code.child.ravel()
     node = np.zeros(bits.shape[0], dtype=np.int64)
     for j in range(code.max_bits):
-        node = code.child[node, bits[:, j]]
+        node = child.take(2 * node + bits[:, j])
     return node
 
 
@@ -79,20 +82,21 @@ def h_hard(u, code: TokenCode) -> np.ndarray:
     """Threshold-and-decode h: eta of the leaf the bits 1(u > 1/2) reach;
     an unused fixed-code pattern reads as token N-1."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    node = _descend((u > 0.5).astype(np.int64), code)
-    return code.leaf[node] / (code.n_tokens - 1)
+    return code.leaf.take(_descend(u > 0.5, code)) / (code.n_tokens - 1)
 
 
 def h_soft(u, code: TokenCode) -> np.ndarray:
     """CDF-position h: the dyadic cell of the leaf the bits 1(u >= 1/2)
     reach, plus a residual recycled from the uniform of its last bit;
-    uniform on [0, 1) under uniform keys."""
+    uniform on [0, 1) under uniform keys. Each row's last-bit uniform is
+    one flat ``take``, and the cell width 2**-depth an ``ldexp`` by the
+    code's int32 depths."""
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    node = _descend((u >= 0.5).astype(np.int64), code)
-    depth = code.depth[node]
-    rho = 2.0 * u[np.arange(u.shape[0]), depth - 1]
+    node = _descend(u >= 0.5, code)
+    depth = code.depth.take(node)
+    rho = 2.0 * u.ravel().take(np.arange(0, u.size, u.shape[1]) + (depth - 1))
     rho -= np.floor(rho)
-    return code.lo[node] + np.ldexp(rho, -depth)
+    return code.lo.take(node) + np.ldexp(rho, -depth)
 
 
 def h_values(keyseq: BsKeySequence, code: TokenCode, h_mode: str = "soft") -> np.ndarray:
@@ -180,8 +184,11 @@ def min_block_cost(costs: np.ndarray, k: int):
     For every text start i and key offset j, D(i, j) = sum_{l<k}
     costs[(j + l) % n, i + l] is slid along the wrapped diagonals: the first
     window summed in l order from 0, then one subtract and one add per text
-    step. Returns (min cost, text start i, key offset j); ties take the
-    row-major smallest (i, j).
+    step, each step's window copied into a (L - k + 1, n) grid with no
+    reduction. Returns (min cost, text start i, key offset j); ties take the
+    row-major smallest (i, j), as a strict-< scan keeps: one ``min`` over the
+    grid gives the value, the first row holding it is i, and that row rolled
+    into key-offset order gives j by ``argmin``.
     """
     costs = np.asarray(costs, dtype=np.float64)
     n, length = costs.shape
@@ -191,14 +198,13 @@ def min_block_cost(costs: np.ndarray, k: int):
         raise ValueError("block length k must be in 1..text length")
     slab = np.empty((length, 2 * n))
     slab[:, :n] = slab[:, n:] = costs.T
-    best, best_i, best_j = np.inf, 0, 0
+    grid = np.empty((length - k + 1, n))
     for i, s in enumerate(_windows(slab, np.arange(length), k)):
-        if s.min() < best:
-            # the row's first minimum is what the row-major strict-< scan keeps
-            row = np.roll(s, i)
-            j = int(row.argmin())
-            best, best_i, best_j = row[j], i, j
-    return float(best), best_i, best_j
+        grid[i] = s
+    best = grid.min()
+    i = int((grid == best).any(axis=1).argmax())
+    j = int(np.roll(grid[i], i).argmin())
+    return float(best), i, j
 
 
 @dataclass(frozen=True)

@@ -131,3 +131,29 @@ def test_tree_walks_match_string_oracles():
         assert sample_bs_many(Row(p), code, u).tolist() == want
         assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()
         assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()
+
+
+def test_deep_code_maps_match_string_oracles():
+    # weights 2**i make a 59-level Huffman chain: token 59 is "1", token t
+    # is 59 - t zeros then a one, and tokens 0 and 1 end 59 bits down, so
+    # the maps' walk and their 2**-depth scaling run at every depth to 59
+    code = build_huffman_codes(2.0 ** np.arange(60))
+    assert code.max_bits == 59
+    assert sorted({len(w) for w in code.codes}) == list(range(1, 60))
+    rng = np.random.default_rng(12)
+    rows = []
+    for word in code.codes:
+        for half in ("0.5 on ones", "random"):
+            # bits of this word, then noise the word never reads
+            u = rng.random(code.max_bits)
+            for j, bit in enumerate(word):
+                u[j] = 0.5 * rng.random() + (0.5 if bit == "1" else 0.0)
+                if bit == "1" and half == "0.5 on ones":
+                    u[j] = 0.5  # soft reads a 1 here, hard a 0
+            rows.append(u)
+    u = np.vstack(rows + [rng.random((200, code.max_bits))])
+    u[-100:][rng.random((100, code.max_bits)) < 0.1] = 0.5
+    depths = code.depth[[code.node(w) for w in code.codes]]
+    assert sorted(set(depths.tolist())) == list(range(1, 60))
+    assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()
+    assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()

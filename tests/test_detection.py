@@ -163,6 +163,24 @@ def test_phi_zero_costs_tie_break():
     assert (val, i, j) == (0.0, 0, 0)
 
 
+def test_min_block_cost_ties_keep_the_first_row_and_its_first_offset():
+    # with k = 1 the window at (text start i, key offset j) is costs[j, i],
+    # so the grid is laid out by hand: the minimum -1 sits twice in row 2,
+    # at offsets 1 and 3, and again in row 4; a -0.5 in row 0 is a decoy
+    costs = np.zeros((5, 6))
+    costs[1, 2] = costs[3, 2] = costs[0, 4] = -1.0
+    costs[4, 0] = -0.5
+    assert brute_min_block_cost(costs, 1) == (-1.0, 2, 1)
+    assert _exact(min_block_cost(costs, 1)) == _exact((-1.0, 2, 1))
+    # with k = 2 each cell enters two windows: the -1s at rows 1 and 3 of
+    # column 2 give row 1 the minimum at offsets 0 and 2 (cell at l = 1)
+    # and row 2 at offsets 1 and 3 (cell at l = 0)
+    costs = np.zeros((5, 7))
+    costs[1, 2] = costs[3, 2] = -1.0
+    assert brute_min_block_cost(costs, 2) == (-1.0, 1, 0)
+    assert _exact(min_block_cost(costs, 2)) == _exact((-1.0, 1, 0))
+
+
 def test_phi_errors():
     rng = np.random.default_rng(5)
     ks = resample_key_sequence(rng, "its", 3, 4, 2)

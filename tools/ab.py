@@ -16,7 +16,8 @@ interquartile ranges and the pairs the head won, the same for each run's
 whole-process minor page faults per attempted op (``process``), each end-to-end
 metric's verdict (see ``verdict``), plus every
 run's ``correct`` flag, the selftest's exit code and last line, both Tier-1
-wall times, both trees'
+wall times and each tree's five slowest Tier-1 test phases
+(``--durations=5``), both trees'
 ``src/entmark/*.py`` line counts and their difference, and the host's
 Python, NumPy and ``cryptography`` versions and core count.
 
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -39,6 +41,7 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SLOWEST = 5  # slowest Tier-1 test phases recorded per tree
 
 
 def git(*args) -> str:
@@ -91,14 +94,29 @@ def selftest(tree: Path) -> dict:
     return {"exit": proc.returncode, "last_line": lines[-1] if lines else ""}
 
 
+def slowest_tests(output: str) -> list:
+    """The ``--durations`` report in pytest's ``output``: one entry per
+    line, slowest first, with the test's id, its phase and its seconds."""
+    found, report = [], False
+    for line in output.splitlines():
+        report = report or ("slowest" in line and "durations" in line)
+        m = re.fullmatch(r"(\d+\.\d+)s (setup|call|teardown)\s+(.+)", line.strip())
+        if report and m:
+            found.append({"test": m[3], "phase": m[2], "seconds": float(m[1])})
+    return found
+
+
 def tier1_seconds(tree: Path) -> dict:
+    """One timed Tier-1 run in ``tree``: wall time, exit code, summary line
+    and the five slowest test phases."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"],
+                           "--continue-on-collection-errors", f"--durations={SLOWEST}"],
                           cwd=tree, env=env, capture_output=True, text=True)
     summary = (proc.stdout.strip().splitlines() or [""])[-1]
-    return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode, "summary": summary}
+    return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode, "summary": summary,
+            "slowest": slowest_tests(proc.stdout)}
 
 
 def src_lines(tree: Path) -> int:
@@ -232,6 +250,9 @@ def main(argv=None) -> int:
             print(f"{w:16s} {name:19s} {m['base_median']:12.4g} -> {m['head_median']:12.4g} "
                   f"(IQR {m['base_iqr']:.3g} / {m['head_iqr']:.3g}; head better in "
                   f"{m['head_wins']}/{m['pairs']}) {m.get('verdict', '')}".rstrip())
+    for side in ("base", "head"):
+        for t in tier1[side]["slowest"]:
+            print(f"tier-1 {side:4s} {t['seconds']:7.2f} s {t['phase']:8s} {t['test']}")
     print(f"src/entmark/*.py lines {lines['base']} -> {lines['head']} "
           f"({lines['head'] - lines['base']:+d})")
     print(f"wrote {path}")
