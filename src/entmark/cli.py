@@ -8,6 +8,7 @@ error, 2 I/O error.
 """
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -145,6 +146,7 @@ def cmd_detect(args):
     lm = _load_model(args)
     records = _read_records(args.infile)
     rng = np.random.default_rng(args.seed)
+    code_of = functools.cache(lambda mode: codes_for_lm(lm, mode))  # one code per mode
     lines = []
     for _, res in records:
         # the key kind is the record's sampler unless --cost overrides it
@@ -154,7 +156,7 @@ def cmd_detect(args):
                              "pass --cost its or --cost bs")
         config = DetectionConfig(cost=cost, k=args.k, T=args.T,
                                  h_mode=args.h_mode, s_max=args.s_max)
-        code = codes_for_lm(lm, res.coding) if cost == "bs" else None
+        code = code_of(res.coding) if cost == "bs" else None
         if args.mode == "scan":
             report = detect_seed_scan(res.tokens, config, res.salt, lm.size, rng, code=code)
         else:

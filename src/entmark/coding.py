@@ -7,7 +7,7 @@ distribution. The reference code is fixed length: token id ``i`` gets the
 or above ``N`` are unused. A variable-length Huffman code built from a weight
 table is available behind ``mode="huffman"``. Either code is held as one
 integer tree, built once, that the samplers and the detection maps walk by
-node id; the bit strings remain for encoding, decoding and inspection.
+node id; the bit strings it is built from stay on it as ``codes``.
 """
 
 import heapq
@@ -51,26 +51,6 @@ class TokenCode:
     lo: np.ndarray = field(repr=False, compare=False)
     depth: np.ndarray = field(repr=False, compare=False)
     branches: tuple = field(repr=False, compare=False)
-
-    def node(self, prefix: str) -> int:
-        """Node id of a bit prefix, walked down from the root."""
-        v = 0
-        for bit in prefix:
-            if self.leaf[v] >= 0 or bit not in ("0", "1"):
-                raise ValueError(f"bit string {prefix!r} leaves the code tree")
-            v = self.child[v, int(bit)]
-        return int(v)
-
-    def encode(self, token: int) -> str:
-        if not 0 <= token < self.n_tokens:
-            raise ValueError(f"token id {token} out of range")
-        return self.codes[token]
-
-    def decode(self, bits: str) -> int:
-        v = self.node(bits)
-        if self.leaf[v] < 0 or self.members[v].size == 0:
-            raise ValueError(f"invalid code word {bits!r}")
-        return int(self.leaf[v])
 
 
 def _finish(n_tokens, max_bits, mode, codes):

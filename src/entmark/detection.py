@@ -71,6 +71,8 @@ def _descend(bits, code: TokenCode) -> np.ndarray:
     """The code-tree node each row of 0/1 ``bits`` reaches, one level per
     column; a row that reaches a leaf early stays on it. Each level is one
     1-D ``take`` from the flattened child table, at ``2 * node + bit``."""
+    if bits.shape[1] < code.max_bits:
+        raise ValueError("key elements have too few uniforms for this code")
     child = code.child.ravel()
     node = np.zeros(bits.shape[0], dtype=np.int64)
     for j in range(code.max_bits):
@@ -123,8 +125,8 @@ def _cost_table(keyseq, n_vocab, code, h_mode, tokens, out) -> np.ndarray:
     if keyseq.kind == "its":
         if keyseq.n_vocab != n_vocab:
             raise ValueError("key permutation size does not match vocabulary")
-        # eta without its range scan: ItsKeySequence checked the ranks, or
-        # they are permutations by construction
+        # eta without a range scan: the rank rows are permutations by
+        # construction
         eta = np.arange(n_vocab) / (n_vocab - 1) - 0.5
         ranks = keyseq.ranks[:, tokens].T.reshape(len(tokens), count, n)
         return np.multiply(eta[ranks], np.negative(keyseq.u.reshape(count, n) - 0.5), out=out)

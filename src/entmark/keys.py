@@ -126,33 +126,20 @@ def key_bits(n_vocab: int, code=None) -> int:
 
 class ItsKeySequence:
     """Inverse-transform keys, one position per row: the uniforms ``u`` and
-    two (n, N) int64 maps, ``ranks`` (token -> rank) and ``order`` (rank ->
-    token), each the other's row-wise inverse. A sequence holds one map and
-    computes the other on first use: derived keys keep the Fisher-Yates
-    order, which generation reads, and build ranks only when detection asks.
-    Racing threads compute the same array, so neither cache needs a lock."""
+    two (n, N) int64 maps, ``order`` (rank -> token) and ``ranks`` (token ->
+    rank), each the other's row-wise inverse. The float64 and int64 arrays
+    are wrapped as given, so the maps' rows must be permutations, as
+    derivation and the null draw make them. A derived key holds the
+    Fisher-Yates ``order``, which generation reads, and builds ``ranks``
+    from it when detection first asks; racing threads compute the same
+    array, so that cache needs no lock. A null key is drawn as ranks, is
+    never sampled from, and has ``order`` None."""
 
     kind = "its"
 
-    def __init__(self, u: np.ndarray, ranks: np.ndarray):
-        self.u = np.asarray(u, dtype=np.float64)
-        self._ranks = np.asarray(ranks, dtype=np.int64)
-        if self._ranks.ndim != 2 or self._ranks.shape[:1] != self.u.shape:
-            raise ValueError("mismatched key arrays")
-        # checked once here, so the detection cost can gather ranks unchecked
-        if self._ranks.size and (self._ranks.min() < 0 or self._ranks.max() >= self.n_vocab):
-            raise ValueError(f"key rank out of range 0..{self.n_vocab - 1}")
-        self._order = None
-
-    @classmethod
-    def _of_permutations(cls, u: np.ndarray, ranks: np.ndarray | None = None,
-                         order: np.ndarray | None = None) -> "ItsKeySequence":
-        """Wrap float64 ``u`` and int64 ``ranks`` or ``order`` (or both)
-        whose rows are permutations, so in range by construction, without
-        the range scan."""
-        seq = cls.__new__(cls)
-        seq.u, seq._ranks, seq._order = u, ranks, order
-        return seq
+    def __init__(self, u: np.ndarray, *, order: np.ndarray | None = None,
+                 ranks: np.ndarray | None = None):
+        self.u, self.order, self._ranks = u, order, ranks
 
     @property
     def n(self) -> int:
@@ -160,22 +147,14 @@ class ItsKeySequence:
 
     @property
     def n_vocab(self) -> int:
-        return (self._order if self._ranks is None else self._ranks).shape[1]
+        return (self.order if self._ranks is None else self._ranks).shape[1]
 
     @property
     def ranks(self) -> np.ndarray:
         """Each token's rank per row, ``order``'s inverse unless given."""
         if self._ranks is None:
-            self._ranks = _inverse(self._order)
+            self._ranks = _inverse(self.order)
         return self._ranks
-
-    @property
-    def order(self) -> np.ndarray:
-        """Tokens in rank order per row, ``ranks.argsort(axis=1)`` unless
-        given."""
-        if self._order is None:
-            self._order = self._ranks.argsort(axis=1)
-        return self._order
 
 
 class BsKeySequence:
@@ -190,10 +169,6 @@ class BsKeySequence:
     @property
     def n(self) -> int:
         return self.u.shape[0]
-
-    @property
-    def n_bits(self) -> int:
-        return self.u.shape[1]
 
 
 # Bytes of swap targets the shuffle computes at a time (20 steps at n = 397
@@ -262,7 +237,7 @@ def derive_key_sequence(prf_key: bytes, kind: str, n: int, n_vocab: int, n_bits:
     slots = uniform_block(prf_key, start * stride, n * stride).reshape(n, stride)
     if kind == "its":
         order = _fisher_yates(slots[:, 1:n_vocab])
-        return ItsKeySequence._of_permutations(slots[:, 0].copy(), order=order)
+        return ItsKeySequence(slots[:, 0].copy(), order=order)
     return BsKeySequence(slots[:, n_vocab : n_vocab + n_bits].copy())
 
 
@@ -279,8 +254,7 @@ def resample_key_sequence(rng: np.random.Generator, kind: str, n: int, n_vocab: 
     if kind == "its":
         draws = rng.random((count, n * (n_vocab + 1)))
         ranks = np.argsort(draws[:, n:].reshape(count, n, n_vocab), axis=2)
-        return ItsKeySequence._of_permutations(draws[:, :n].ravel(),
-                                               ranks=ranks.reshape(count * n, n_vocab))
+        return ItsKeySequence(draws[:, :n].ravel(), ranks=ranks.reshape(count * n, n_vocab))
     if kind == "bs":
         return BsKeySequence(rng.random((count * n, n_bits)))
     raise ValueError(f"unknown key kind {kind!r}")

@@ -62,10 +62,6 @@ class Vocabulary:
     def encode(self, tokens) -> list:
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids) -> list:
-        self.check_ids(ids)
-        return [self.tokens[i] for i in ids]
-
     def check_ids(self, ids) -> None:
         for i in ids:
             if not 0 <= int(i) < self.size:

@@ -61,6 +61,8 @@ def tpr_at_fpr(pos, neg, fpr: float = 0.01) -> float:
     and classification is strict (score > threshold), so at most that many
     negatives are ever flagged.
     """
+    if not 0.0 <= fpr <= 1.0:  # NaN fails this too
+        raise ValueError(f"fpr must be in [0, 1], got {fpr}")
     pos, neg = _scores(pos, neg)
     allowed = int(np.floor(fpr * neg.size))
     if allowed >= neg.size:

@@ -336,20 +336,30 @@ def cost_bs(tokens, h_block, n_vocab: int) -> float:
     return float(-np.sum((h - 0.5) * (eta(y, n_vocab) - 0.5)))
 
 
+def node_of(code: TokenCode, prefix: str) -> int:
+    """Node id of a bit prefix, walked down from the root of ``code``'s tree."""
+    v = 0
+    for bit in prefix:
+        if code.leaf[v] >= 0 or bit not in ("0", "1"):
+            raise ValueError(f"bit string {prefix!r} leaves the code tree")
+        v = code.child[v, int(bit)]
+    return int(v)
+
+
 def path_probability(probs: np.ndarray, code: TokenCode, bits: str) -> float:
     """Probability of a full bit path under sequential bit sampling.
 
     Product of the per-bit conditionals along ``bits``; zero as soon as the
-    path enters a zero-mass subtree. Equals ``probs[decode(bits)]`` for valid
-    code words, which is the content of the telescoping identity.
+    path enters a zero-mass subtree. Equals ``probs[t]`` for the code word
+    ``code.codes[t]``, which is the content of the telescoping identity.
     """
     p = validate_distribution(probs)
     prob = 1.0
     for j, b in enumerate(bits):
-        node = prefix_mass(p, code, code.node(bits[:j]))
+        node = prefix_mass(p, code, node_of(code, bits[:j]))
         if node <= 0.0:
             return 0.0
-        q1 = prefix_mass(p, code, code.node(bits[:j] + "1")) / node
+        q1 = prefix_mass(p, code, node_of(code, bits[:j] + "1")) / node
         prob *= q1 if b == "1" else 1.0 - q1
     return prob
 

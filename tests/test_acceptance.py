@@ -67,11 +67,11 @@ def test_criterion_01_distribution_preservation():
 
             def bit_of(u_vec, j):
                 tok = sample_bs(row, code, np.asarray(u_vec))
-                return code.encode(tok)[j]
+                return code.codes[tok][j]
 
             def walk(prefix_forcers, prefix, measure):
-                tokens = [t for t in range(n) if code.encode(t).startswith(prefix)]
-                if len(tokens) == 1 and code.encode(tokens[0]) == prefix:
+                tokens = [t for t in range(n) if code.codes[t].startswith(prefix)]
+                if len(tokens) == 1 and code.codes[tokens[0]] == prefix:
                     law[tokens[0]] += measure
                     return
                 j = len(prefix)

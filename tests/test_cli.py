@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from entmark import cli
 from entmark.cli import build_parser, main
+from entmark.coding import codes_for_lm
+from entmark.detection import DetectionConfig, detect_pvalue
+from entmark.generation import GenerationResult, key_sequence_for
+from entmark.lm import peaked_lm
 
 
 def run(args):
@@ -282,6 +288,31 @@ def test_detect_takes_the_key_kind_from_the_record(tmp_path, capsys):
     assert run(detect) == 1
     assert "'multinomial' record has no watermark key" in capsys.readouterr().err
     assert run(detect + ["--cost", "its"]) == 0
+
+
+def test_detect_builds_each_records_code_once(tmp_path, monkeypatch):
+    gen, det = tmp_path / "gen.jsonl", tmp_path / "det.jsonl"
+    assert run(["generate", "--lm", "peaked:8,0.4", "--lambda", "2.0", "--m", "200",
+                "--count", "3", "--sampler", "bs", "--seed", "7", "--out", str(gen)]) == 0
+    calls = []
+
+    def counted(lm, mode="fixed"):
+        calls.append(mode)
+        return codes_for_lm(lm, mode)
+
+    monkeypatch.setattr(cli, "codes_for_lm", counted)
+    assert run(["detect", "--in", str(gen), "--lm", "peaked:8,0.4", "--T", "19", "--seed", "4",
+                "--out", str(det)]) == 0
+    assert calls == ["fixed"]
+    # the bytes of detection with a code built afresh for every record
+    lm, rng, want = peaked_lm(8, 0.4), np.random.default_rng(4), []
+    for rec in read_jsonl(gen):
+        res = GenerationResult.from_record(rec)
+        code = codes_for_lm(lm, res.coding)
+        keyseq = key_sequence_for(res, lm.size, code=code, kind="bs")
+        want.append(detect_pvalue(res.tokens, keyseq, DetectionConfig(cost="bs", T=19), rng,
+                                  lm.size, code=code, boundary=res.boundary).to_json() + "\n")
+    assert len(want) == 3 and det.read_text() == "".join(want)
 
 
 def test_chained_attacks_keep_the_original_seed(tmp_path):

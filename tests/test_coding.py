@@ -5,7 +5,7 @@ from entmark.coding import build_codes, build_huffman_codes, codes_for_lm, prefi
 from entmark.detection import h_hard, h_soft
 from entmark.lm import skewed_lm
 from entmark.sampling import Row, sample_bs, sample_bs_many
-from oracles import path_probability, scalar_h_hard, scalar_h_soft, scalar_sample_bs
+from oracles import node_of, path_probability, scalar_h_hard, scalar_h_soft, scalar_sample_bs
 
 
 def test_fixed_codes_canonical():
@@ -14,29 +14,34 @@ def test_fixed_codes_canonical():
     code3 = build_codes(3)
     assert code3.max_bits == 2
     assert code3.codes == ("00", "01", "10")
-    with pytest.raises(ValueError, match="invalid code word"):
-        code3.decode("11")
+    unused = node_of(code3, "11")  # an unused pattern: a leaf with no members
+    assert code3.leaf[unused] == 2 and code3.members[unused].size == 0
     with pytest.raises(ValueError, match="degenerate"):
         build_codes(1)
 
 
+def _assert_words_reach_their_leaves(code):
+    # each token's word walks down the tree to a leaf that reads as it and
+    # holds it alone
+    for t, word in enumerate(code.codes):
+        v = node_of(code, word)
+        assert code.leaf[v] == t and code.members[v].tolist() == [t]
+
+
 def test_encode_decode_round_trip():
     code = build_codes(4)
-    assert code.encode(2) == "10"
-    assert code.decode("10") == 2
-    assert build_codes(2).encode(0) == "0"
+    assert code.codes[2] == "10"
+    assert code.leaf[node_of(code, "10")] == 2
+    assert build_codes(2).codes[0] == "0"
     for n in (2, 3, 5, 8, 11):
-        c = build_codes(n)
-        for t in range(n):
-            assert c.decode(c.encode(t)) == t
-    with pytest.raises(ValueError):
-        code.encode(4)
+        _assert_words_reach_their_leaves(build_codes(n))
 
 
 def test_bit_conditional_examples():
     # P(next bit = 1 | prefix), the ratio the samplers take at each node
     def bit_conditional(p, code, prefix):
-        return prefix_mass(p, code, code.node(prefix + "1")) / prefix_mass(p, code, code.node(prefix))
+        one = prefix_mass(p, code, node_of(code, prefix + "1"))
+        return one / prefix_mass(p, code, node_of(code, prefix))
 
     code = build_codes(4)
     p = np.array([0.1, 0.2, 0.3, 0.4])
@@ -53,12 +58,12 @@ def test_prefix_mass_splits():
     for _ in range(20):
         p = rng.dirichlet(np.ones(3))
         for prefix in ("", "0", "1"):
-            node = prefix_mass(p, code, code.node(prefix))
+            node = prefix_mass(p, code, node_of(code, prefix))
             assert node == pytest.approx(
-                prefix_mass(p, code, code.node(prefix + "0"))
-                + prefix_mass(p, code, code.node(prefix + "1"))
+                prefix_mass(p, code, node_of(code, prefix + "0"))
+                + prefix_mass(p, code, node_of(code, prefix + "1"))
             )
-    assert prefix_mass(np.ones(3) / 3, code, code.node("")) == pytest.approx(1.0)
+    assert prefix_mass(np.ones(3) / 3, code, node_of(code, "")) == pytest.approx(1.0)
 
 
 def test_path_probability_telescopes():
@@ -74,7 +79,7 @@ def test_path_probability_telescopes():
                         for v in range(2**code.max_bits))
             assert total == pytest.approx(1.0, abs=1e-9)
             for t in range(n):
-                assert path_probability(p, code, code.encode(t)) == pytest.approx(p[t], abs=1e-12)
+                assert path_probability(p, code, code.codes[t]) == pytest.approx(p[t], abs=1e-12)
 
 
 def test_huffman_codes():
@@ -86,8 +91,7 @@ def test_huffman_codes():
         for j, b in enumerate(code.codes):
             if i != j:
                 assert not b.startswith(a)
-    for t in range(4):
-        assert code.decode(code.encode(t)) == t
+    _assert_words_reach_their_leaves(code)
     assert build_huffman_codes([5, 1, 1, 1]).codes == code.codes  # deterministic
     with pytest.raises(ValueError):
         build_huffman_codes([1.0])
@@ -153,7 +157,7 @@ def test_deep_code_maps_match_string_oracles():
             rows.append(u)
     u = np.vstack(rows + [rng.random((200, code.max_bits))])
     u[-100:][rng.random((100, code.max_bits)) < 0.1] = 0.5
-    depths = code.depth[[code.node(w) for w in code.codes]]
+    depths = code.depth[[node_of(code, w) for w in code.codes]]
     assert sorted(set(depths.tolist())) == list(range(1, 60))
     assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()
     assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()

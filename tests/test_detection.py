@@ -9,8 +9,8 @@ from entmark.coding import build_codes, build_huffman_codes
 from entmark.detection import (DetectionConfig, detect_pvalue, detect_seed_scan, h_hard,
                                h_soft, h_values, min_block_cost, phi)
 from entmark.generation import generate, key_sequence_for, replay_boundary
-from entmark.keys import (ItsKeySequence, SeedBlock, derive_key_sequence, derive_prf_key,
-                          resample_key_sequence)
+from entmark.keys import (BsKeySequence, ItsKeySequence, SeedBlock, derive_key_sequence,
+                          derive_prf_key, resample_key_sequence)
 from entmark.lm import peaked_lm, skewed_lm, uniform_lm
 from entmark.sampling import Row, sample_bs_many
 from oracles import (brute_min_block_cost, cost_bs, cost_its, eta, grid_costs,
@@ -385,7 +385,7 @@ def test_derived_key_detects_as_its_hand_built_twin(lm):
     derived = key_sequence_for(res, lm.size)
     got = report_bytes(derived)
     fresh = key_sequence_for(res, lm.size)
-    twin = ItsKeySequence(fresh.u.copy(), scatter_ranks(fresh.order))
+    twin = ItsKeySequence(fresh.u.copy(), ranks=scatter_ranks(fresh.order))
     assert got == report_bytes(twin)
 
 
@@ -435,6 +435,32 @@ def test_phi_rejects_out_of_range_ids(cost, bad):
     ks = resample_key_sequence(rng, cost, 8, 4, 2)
     with pytest.raises(ValueError, match=f"token id {bad} out of range"):
         phi(y, ks, 4, 4, build_codes(4))
+
+
+@pytest.mark.parametrize("code, short", [(build_codes(8), 2),
+                                         (build_huffman_codes([16, 8, 4, 2, 1, 1]), 4)])
+def test_bs_key_with_too_few_uniforms_is_refused(code, short):
+    # a key row shorter than the code's longest word is refused by every
+    # entry; a row wider than it reads only its first max_bits uniforms
+    rng = np.random.default_rng(20)
+    n_vocab = code.n_tokens
+    y = rng.integers(n_vocab, size=12)
+    wide = resample_key_sequence(rng, "bs", 12, n_vocab, code.max_bits + 3)
+    exact = BsKeySequence(wide.u[:, :code.max_bits])
+    config = DetectionConfig(cost="bs", T=5)
+
+    def report(key):
+        rep = detect_pvalue(y, key, config, np.random.default_rng(21), n_vocab, code)
+        return (struct.pack("<ddqq", rep.p_value, rep.phi0, rep.best_i, rep.best_j)
+                + rep.phi_null.tobytes())
+
+    entries = (lambda key: h_soft(key.u, code).tobytes(),
+               lambda key: h_hard(key.u, code).tobytes(),
+               lambda key: phi(y, key, 4, n_vocab, code), report)
+    for entry in entries:
+        with pytest.raises(ValueError, match="too few uniforms"):
+            entry(BsKeySequence(wide.u[:, :short]))
+        assert entry(wide) == entry(exact)
 
 
 def test_seed_scan_single_candidate_reduces_to_detect():

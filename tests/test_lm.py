@@ -19,7 +19,7 @@ def test_vocabulary_invariants():
     v = Vocabulary(("a", "b", "c"))
     assert v.size == 3
     assert v.id_of("b") == 1
-    assert v.decode(v.encode(["c", "a"])) == ["c", "a"]
+    assert v.encode(["c", "a"]) == [2, 0]
     with pytest.raises(ValueError):
         Vocabulary(("a",))
     with pytest.raises(ValueError):

@@ -45,6 +45,12 @@ def test_tpr_at_fpr():
     assert tpr_at_fpr(pos, neg, 0.01) == pytest.approx(3 / 4)
     assert tpr_at_fpr(pos, neg, 1.0) == 1.0
     assert tpr_at_fpr([5.0], [1.0], 0.5) in (0.0, 1.0)
+    # an fpr outside [0, 1] has no threshold; a negative one used to index
+    # the sorted negatives from the end
+    assert tpr_at_fpr([0.25, 0.6], [0.1, 0.2, 0.3, 0.4], 0.0) == 0.5
+    for bad in (-0.3, -1e-9, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"fpr must be in \[0, 1\]"):
+            tpr_at_fpr([0.25, 0.6], [0.1, 0.2, 0.3, 0.4], bad)
 
 
 def test_roc_counts_match_brute_force_on_ties():

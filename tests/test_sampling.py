@@ -414,6 +414,27 @@ def test_generate_keeps_a_models_rows_across_calls(monkeypatch):
     assert model() is None and len(sampling._ROWS) == kept - 1
 
 
+def test_a_replaced_settings_rows_stay_with_their_caller():
+    # a second setting replaces the model's kept rows; the first setting's
+    # row_of keeps answering from its own rows, which the memo no longer holds
+    lm = peaked_lm(8, 0.4)
+    plain = row_source(lm)
+    warm = row_source(lm, temperature=0.7)
+    contexts = [[]] + [[t] for t in range(8)]
+    plain_rows = []
+    for context in contexts:
+        want = lm.context_distribution(context)
+        plain_rows.append(plain(context))
+        assert plain_rows[-1].p.tobytes() == want.tobytes()
+        assert warm(context).p.tobytes() == apply_temperature(want, 0.7).tobytes()
+    kept = [row for _, rows in sampling._ROWS.values() for row in rows.values()]
+    assert not any(row is kept_row for row in plain_rows for kept_row in kept)
+    again = row_source(lm)
+    for context, row in zip(contexts, plain_rows):
+        assert again(context) is not row
+        assert again(context).p.tobytes() == row.p.tobytes()
+
+
 def test_threads_sharing_a_models_rows_draw_as_a_per_token_loop():
     # four threads generate from one model under two settings at once, so
     # they replace its kept rows under each other while they walk them
