@@ -98,6 +98,8 @@ def _load_model(args):
 
 
 def cmd_generate(args):
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     lm = _load_model(args)
     if args.prompt_ids:
         prompt = [int(t) for t in args.prompt_ids.split(",") if t != ""]

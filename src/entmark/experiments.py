@@ -22,7 +22,7 @@ from .generation import (GenerationResult, generate, generate_baseline, key_sequ
                          replay_boundary)
 from .keys import PRF_ID, derive_prf_key, resample_key_sequence
 from .lm import MarkovLM, uniform_lm
-from .sampling import Row, row_source, sample_bs, sample_bs_many, sample_multinomial
+from .sampling import row_source, sample_bs, sample_multinomial
 
 
 @dataclass
@@ -201,12 +201,7 @@ def _is_uniform(lm: MarkovLM) -> bool:
 
 
 def _bs_blocks(lm, k, reps, rng, code):
-    """reps watermarked blocks of length k: (tokens, key u, fresh u)."""
-    if _is_uniform(lm):
-        u = rng.random((reps * k, code.max_bits))
-        tokens = sample_bs_many(Row(np.full(lm.size, 1.0 / lm.size)), code, u)
-        u_fresh = rng.random((reps * k, code.max_bits))
-        return tokens.reshape(reps, k), u.reshape(reps, k, -1), u_fresh.reshape(reps, k, -1)
+    """reps watermarked blocks of length k, walked token by token: (tokens, key u, fresh u)."""
     tokens = np.empty((reps, k), dtype=np.int64)
     u = rng.random((reps, k, code.max_bits))
     u_fresh = rng.random((reps, k, code.max_bits))
@@ -253,11 +248,9 @@ def run_hoeffding_bound(lm: MarkovLM, k_values, reps: int, seed: int) -> Experim
             alpha = 1.0 - 1.0 / lm.size
         else:
             var_eta = float(np.var(flat / (lm.size - 1)))
-            probs_of = np.array([
-                lm.context_distribution(row[:i].tolist())[row[i]]
-                for row in tokens for i in range(len(row))
-            ])
-            alpha = float(np.mean(1.0 - probs_of))
+            rows = row_source(lm)
+            alpha = float(np.mean([1.0 - rows(row[:i]).p[row[i]]
+                                   for row in tokens for i in range(len(row))]))
         d_secret, d_fresh = _soft_costs(tokens, u, u_fresh, lm.size, code)
         d_secret = d_secret.reshape(reps, int(k)).sum(axis=1)
         d_fresh = d_fresh.reshape(reps, int(k)).sum(axis=1)
@@ -311,6 +304,8 @@ def run_pvalue_validity(n_vocab: int, length: int, trials: int, T: int,
 
 def _score_text(tokens, keyseq, n_vocab, code, k=None):
     """Watermark evidence score of a text against a key sequence: -phi."""
+    if len(tokens) == 0:
+        return -np.inf  # an empty text holds no block to align
     kk = min(len(tokens), k or DEFAULT_BLOCK)
     return -phi(tokens, keyseq, kk, n_vocab, code).value
 

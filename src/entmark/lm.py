@@ -46,8 +46,10 @@ class Vocabulary:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if len(self.tokens) < 2:
             raise ValueError("vocabulary needs at least 2 tokens")
-        if len(set(self.tokens)) != len(self.tokens):
+        ids = {token: i for i, token in enumerate(self.tokens)}
+        if len(ids) != len(self.tokens):
             raise ValueError("vocabulary tokens must be distinct")
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def size(self) -> int:
@@ -55,8 +57,8 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         try:
-            return self.tokens.index(token)
-        except ValueError:
+            return self._ids[token]
+        except KeyError:
             raise ValueError(f"unknown token {token!r}") from None
 
     def encode(self, tokens) -> list:

@@ -100,9 +100,9 @@ class Row:
         paths[zero] = node - mass
         if paths[zero] < _ROUNDING and prefix_mass(self.p, code, zero) == 0.0:
             zero = one  # an empty 0-branch that rounding left just above 0
-        # sample_bs_many fills the steps below empty branches too; no uniform
-        # in [0, 1) reaches a node that carries no mass, so its threshold only
-        # has to be a number
+        # no uniform in [0, 1) enters a node that carries no mass, but a 1.0,
+        # which sample_bs does not refuse, crosses an empty 1-branch's
+        # threshold of 1; such a node gets threshold 1 too, not a division by 0
         threshold = 1.0 - mass / node if node > 0.0 else 1.0
         step = steps[v] = (threshold, _after(code, zero), _after(code, one))
         return step
@@ -190,31 +190,6 @@ def sample_bs(row: Row, code: TokenCode, u) -> int:
         if v < 0:
             return ~v
     raise ValueError("key has too few uniforms for this code")
-
-
-def sample_bs_many(row: Row, code: TokenCode, u: np.ndarray) -> np.ndarray:
-    """Vectorized sample_bs for many key elements.
-
-    ``u`` has shape (count, max_bits). Every row walks the code tree one
-    level per column through the same step table as sample_bs, with every
-    step filled, so the two agree element for element.
-    """
-    table = row.table(code)
-    steps = table[1]
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    if u.shape[1] < code.max_bits:
-        raise ValueError("key elements have too few uniforms for this code")
-    for v, (leaf, _, _) in enumerate(code.branches):  # each node after its parent
-        if leaf < 0 and steps[v] is None:
-            row.step(table, v)
-    flat = np.array([s or (0.0, 0, 0) for s in steps])  # leaves have no step
-    threshold, after = flat[:, 0], flat[:, 1:].astype(np.int64)
-    v = np.zeros(u.shape[0], dtype=np.int64)
-    for j in range(code.max_bits):
-        inner = np.flatnonzero(v >= 0)
-        w = v[inner]
-        v[inner] = after[w, (u[inner, j] >= threshold[w]).astype(np.int64)]
-    return ~v
 
 
 def sample_multinomial(row: Row, rng: np.random.Generator) -> int:

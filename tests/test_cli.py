@@ -202,6 +202,7 @@ def test_config_values_are_the_flags_they_name(tmp_path, model_file):
     (["generate"], "lamda = 0"), (["generate"], "count = 1.5"),
     (["generate"], "entropy_threshold = 0"), (["generate"], "prompt = 'red"),
     (["exp", "pvalue-validity"], "T = [1]"), (["detect"], "infile = in.jsonl"),
+    (["generate"], "count = 0"), (["generate"], "count = -1"),
 ])
 def test_bad_config_line_exits_1(tmp_path, capsys, argv, line):
     cfg = tmp_path / "run.conf"
@@ -244,6 +245,16 @@ def test_exp_rejects_a_count_that_leaves_a_metric_undefined(capsys, experiment, 
     captured = capsys.readouterr()
     assert captured.out == "" and "must be" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_attack_auc_survives_texts_the_attack_empties(capsys):
+    # at this length and rate some attacked texts come out empty
+    argv = ["exp", "attack-auc", "--lm", "peaked:8,0.4", "--m", "6", "--lambda", "0.5",
+            "--samples", "20", "--attack", "delete:0.9"]
+    assert run(argv) in (0, 1)
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["experiment"] == "attack-auc"
+    assert "error" not in captured.err
 
 
 def test_exp_subcommands(tmp_path, capsys):

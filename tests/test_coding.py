@@ -4,7 +4,7 @@ import pytest
 from entmark.coding import build_codes, build_huffman_codes, codes_for_lm, prefix_mass
 from entmark.detection import h_hard, h_soft
 from entmark.lm import skewed_lm
-from entmark.sampling import Row, sample_bs, sample_bs_many
+from entmark.sampling import Row, sample_bs
 from oracles import node_of, path_probability, scalar_h_hard, scalar_h_soft, scalar_sample_bs
 
 
@@ -132,7 +132,6 @@ def test_tree_walks_match_string_oracles():
         want = [scalar_sample_bs(p, code, row) for row in u]
         row = Row(p)
         assert [sample_bs(row, code, bits) for bits in u] == want
-        assert sample_bs_many(Row(p), code, u).tolist() == want
         assert h_hard(u, code).tobytes() == scalar_h_hard(u, code).tobytes()
         assert h_soft(u, code).tobytes() == scalar_h_soft(u, code).tobytes()
 

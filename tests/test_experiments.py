@@ -115,6 +115,19 @@ def test_attack_auc_tiny_structure():
     assert rec.metrics["its_attacked"] >= rec.metrics["its_clean"] - 0.2
 
 
+def test_an_attack_that_empties_every_text_scores_it_minus_inf():
+    lm, code = peaked_lm(8, 0.4), build_codes(8)
+    wipe = parse_attack_spec("delete:1.0")
+    for kind in ("its", "bs"):
+        # the gate closes on every clean text, so each reaches the scorer
+        clean = ex.watermarked_scores(lm, 0.5, 6, kind, 5, np.random.default_rng(13), code)
+        assert np.isfinite(clean).all()
+        for scores in (ex.watermarked_scores, ex.null_scores):
+            got = scores(lm, 0.5, 6, kind, 5, np.random.default_rng(13), code,
+                         attack_specs=wipe)
+            assert got.tolist() == [-np.inf] * 5
+
+
 def test_error_lower_bound_arms():
     det = ex.run_error_lower_bound(peaked_lm(8, 0.995), 0.1, 10, 800, seed=12)
     assert det.metrics["estimate"] > 0.9
@@ -140,7 +153,7 @@ def test_experiment_record_serialization():
 # Records of the experiments that walk a model token by token, pinned byte for
 # byte: hoeffding on a non-uniform model (the per-token bs walk), the error
 # floor on a skewed model with a gate (the multinomial walk) and the
-# covariance gap (the uniform model's vectorised bs draw).
+# covariance gap (the per-token bs walk over the uniform model's rows).
 PINNED_RECORDS = (
     (lambda: ex.run_hoeffding_bound(peaked_lm(8, 0.4), (5, 20), 200, seed=21),
      '{"experiment": "hoeffding-block-bound", "config": {"n_vocab": 8, "k_values": [5, 20], '

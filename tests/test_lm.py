@@ -24,8 +24,11 @@ def test_vocabulary_invariants():
         Vocabulary(("a",))
     with pytest.raises(ValueError):
         Vocabulary(("a", "a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown token 'z'$"):
         v.id_of("z")
+    words = tuple(f"w{i}" for i in np.random.default_rng(0).permutation(2000))
+    big = Vocabulary(words)
+    assert [big.id_of(t) for t in words] == [words.index(t) for t in words]
 
 
 def test_train_markov_hand_count():

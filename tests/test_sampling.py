@@ -13,8 +13,7 @@ from entmark import sampling
 from entmark.coding import build_codes, build_huffman_codes, codes_for_lm
 from entmark.generation import generate, replay_boundary
 from entmark.lm import apply_temperature, apply_top_p, peaked_lm
-from entmark.sampling import (Row, row_source, sample_bs, sample_bs_many, sample_its,
-                              sample_multinomial)
+from entmark.sampling import Row, row_source, sample_bs, sample_its, sample_multinomial
 from entmark.keys import derive_key_sequence
 from oracles import (argsort_sample_its, bs_law_exact, its_law_grid, per_token_generate,
                      scalar_sample_bs)
@@ -147,15 +146,13 @@ def test_bit_walks_never_enter_an_empty_zero_branch(code):
     # it is allowed to, so it finds each such residue
     rng = np.random.default_rng(0)
     u = np.zeros(code.max_bits)
-    walks = {"sample_bs": 0, "sample_bs_many": 0}
+    empty = 0
     for _ in range(20_000):
         p = rng.dirichlet(np.ones(8))
         p[rng.integers(8)] = 0.0
         p /= p.sum()
-        row = Row(p)
-        walks["sample_bs"] += p[sample_bs(row, code, u)] == 0.0
-        walks["sample_bs_many"] += p[sample_bs_many(row, code, u[None])[0]] == 0.0
-    assert walks == {"sample_bs": 0, "sample_bs_many": 0}
+        empty += p[sample_bs(Row(p), code, u)] == 0.0
+    assert empty == 0
 
 
 def test_sample_bs_huffman_mode():
@@ -166,19 +163,6 @@ def test_sample_bs_huffman_mode():
     toks = [sample_bs(row, code, rng.random(code.max_bits)) for _ in range(4000)]
     counts = np.bincount(toks, minlength=4)
     assert stats.chisquare(counts, p * len(toks)).pvalue > 0.01
-
-
-def test_sample_bs_many_matches_scalar():
-    rng = np.random.default_rng(3)
-    codes = [build_codes(n) for n in (2, 3, 4, 8)]
-    codes += [build_huffman_codes(w) for w in ([8, 4, 2, 1], [1, 1, 1], rng.random(11) + 0.1)]
-    for code in codes:
-        n = code.n_tokens
-        p = rng.dirichlet(np.ones(n))
-        u = rng.random((500, code.max_bits))
-        vec = sample_bs_many(Row(p), code, u)
-        scal = [sample_bs(Row(p), code, row) for row in u]
-        assert np.array_equal(vec, scal)
 
 
 def test_preservation_quick():
@@ -234,7 +218,7 @@ def test_reused_row_answers_as_fresh_rows():
         p = _random_row(rng, n)
         row = Row(p)
         u = rng.random((60, code.max_bits))
-        for k, bits in enumerate(u):
+        for bits in u:
             want = scalar_sample_bs(p, code, bits)
             floats = bits.tolist()
             assert sample_bs(row, code, bits) == sample_bs(row, code, floats) == want
@@ -243,9 +227,6 @@ def test_reused_row_answers_as_fresh_rows():
             assert sample_bs(row, code, floats[:walk]) == want
             with pytest.raises(ValueError, match="too few uniforms"):
                 sample_bs(row, code, floats[:walk - 1])
-            if k == 20:  # fills the rest of the memo mid-stream
-                fresh = sample_bs_many(Row(p), code, u).tolist()
-                assert sample_bs_many(row, code, u).tolist() == fresh
         u_its, ranks = float(rng.random()), rng.permutation(n)
         want = argsort_sample_its(p, u_its, ranks)
         order = ranks.argsort()
